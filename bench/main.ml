@@ -34,6 +34,14 @@ let micro ~quick:_ =
   let open Bechamel in
   let lulesh_prog = Apps_lulesh.Lulesh.program Apps_lulesh.Lulesh.Omp in
   let bude_prog = Apps_minibude.Minibude.program () in
+  let lulesh_grad, lulesh_dname =
+    Parad_core.Reverse.gradient lulesh_prog "lulesh_omp"
+  in
+  let lulesh_grad_fn =
+    Parad_ir.Prog.find_exn
+      (Parad_opt.Pipeline.run lulesh_grad Parad_opt.Pipeline.post_ad)
+      lulesh_dname
+  in
   let tiny =
     {
       Apps_lulesh.Lulesh.nx = 2;
@@ -62,6 +70,14 @@ let micro ~quick:_ =
                ignore
                  (Parad_opt.Pipeline.run_on lulesh_prog "lulesh_omp"
                     Parad_opt.Pipeline.o2)));
+        Test.make ~name:"post_ad pipeline lulesh_omp gradient"
+          (Staged.stage (fun () ->
+               ignore
+                 (Parad_opt.Pipeline.run lulesh_grad
+                    Parad_opt.Pipeline.post_ad)));
+        Test.make ~name:"verify lulesh_omp gradient"
+          (Staged.stage (fun () ->
+               Parad_ir.Verifier.check_func lulesh_grad_fn));
       ]
   in
   let instances = Toolkit.Instance.[ monotonic_clock ] in
@@ -78,9 +94,9 @@ let micro ~quick:_ =
     (fun name result ->
       match Analyze.OLS.estimates result with
       | Some [ est ] ->
-        Printf.printf "%-32s %12.1f ns/run\n" name est;
+        Printf.printf "%-44s %12.1f ns/run\n" name est;
         Util.record_micro ~name ~ns:est
-      | _ -> Printf.printf "%-32s (no estimate)\n" name)
+      | _ -> Printf.printf "%-44s (no estimate)\n" name)
     results
 
 let () =

@@ -72,6 +72,74 @@ let test_nested_fork_rejected () =
   | Ok () -> Alcotest.fail "verifier accepted nested fork"
   | Error _ -> ()
 
+(* Verifier error paths, built directly from instructions so each case
+   holds exactly one fault. The messages are pinned verbatim. *)
+
+let var id ty name = Var.make ~id ~ty ~name
+
+let verify_result ~name ~var_count body =
+  let f =
+    Func.make ~name ~params:[] ~attrs:[] ~ret_ty:Ty.Unit ~var_count
+      ~body:(body @ [ Instr.Return None ])
+  in
+  match Verifier.check_func f with
+  | () -> Ok ()
+  | exception Verifier.Ill_formed m -> Error m
+
+let check_rejected what want r =
+  Alcotest.(check (result unit string)) what (Error want) r
+
+let test_verifier_messages () =
+  let x = var 0 Ty.Float "x" and y = var 1 Ty.Float "y" in
+  let n = var 2 Ty.Int "n" and i = var 3 Ty.Int "i" in
+  let loop body =
+    Instr.For { iv = i; lo = n; hi = n; step = n; body = Instr.region ~params:[ i ] body }
+  in
+  let n0 = Instr.Const (n, Instr.Cint 1) in
+  check_rejected "use before definition"
+    "ubd: use of undefined variable %x.0"
+    (verify_result ~name:"ubd" ~var_count:2
+       [ Instr.Bin (y, Instr.Add, x, x); Instr.Const (x, Instr.Cfloat 1.0) ]);
+  check_rejected "use of a variable from an earlier sibling region"
+    "sib: use of undefined variable %x.0"
+    (verify_result ~name:"sib" ~var_count:4
+       [
+         n0;
+         loop [ Instr.Const (x, Instr.Cfloat 1.0) ];
+         loop [ Instr.Bin (y, Instr.Add, x, x) ];
+       ]);
+  check_rejected "nested region redefines an outer variable"
+    "nest: variable %x.0 defined twice"
+    (verify_result ~name:"nest" ~var_count:4
+       [
+         n0;
+         Instr.Const (x, Instr.Cfloat 1.0);
+         loop [ Instr.Const (x, Instr.Cfloat 2.0) ];
+       ]);
+  check_rejected "out-of-range definition" "oor: var %z.7 out of range"
+    (verify_result ~name:"oor" ~var_count:4
+       [ Instr.Const (var 7 Ty.Float "z", Instr.Cfloat 1.0) ]);
+  check_rejected "negative definition" "neg: var %z.-1 out of range"
+    (verify_result ~name:"neg" ~var_count:4
+       [ Instr.Const (var (-1) Ty.Float "z", Instr.Cfloat 1.0) ]);
+  check_rejected "out-of-range use" "oor_use: use of undefined variable %z.9"
+    (verify_result ~name:"oor_use" ~var_count:2
+       [ Instr.Bin (y, Instr.Add, var 9 Ty.Float "z", var 9 Ty.Float "z") ])
+
+let test_verifier_if_branches_share_ids () =
+  let c = var 0 Ty.Bool "c" and t = var 1 Ty.Float "t" in
+  let r = var 2 Ty.Float "r" in
+  let branch x =
+    Instr.region [ Instr.Const (t, Instr.Cfloat x); Instr.Yield [ t ] ]
+  in
+  Alcotest.(check (result unit string))
+    "one definition per If branch is accepted" (Ok ())
+    (verify_result ~name:"ifs" ~var_count:3
+       [
+         Instr.Const (c, Instr.Cbool true);
+         Instr.If ([ r ], c, branch 1.0, branch 2.0);
+       ])
+
 let test_structured_builder () =
   let prog = Prog.create () in
   let b, ps = B.func prog "f" ~params:[ "n", Ty.Int ] ~ret:Ty.Float in
@@ -175,6 +243,9 @@ let () =
           Alcotest.test_case "workshare placement" `Quick
             test_workshare_outside_fork_rejected;
           Alcotest.test_case "nested fork" `Quick test_nested_fork_rejected;
+          Alcotest.test_case "error messages" `Quick test_verifier_messages;
+          Alcotest.test_case "same id in both If branches" `Quick
+            test_verifier_if_branches_share_ids;
         ] );
       "props", qcheck_tests;
     ]
