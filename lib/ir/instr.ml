@@ -147,7 +147,9 @@ let rec fold_instrs f acc body =
   List.fold_left
     (fun acc i ->
       let acc = f acc i in
-      List.fold_left (fun acc r -> fold_instrs f acc r.body) acc (regions i))
+      match regions i with
+      | [] -> acc
+      | rs -> List.fold_left (fun acc r -> fold_instrs f acc r.body) acc rs)
     acc body
 
 let iter_instrs f body = fold_instrs (fun () i -> f i) () body
