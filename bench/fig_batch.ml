@@ -7,25 +7,15 @@
    derivative transcendentals hoisted out of the lane loop — so the
    headline LULESH OMP row should approach but never reach kx. Every
    lane column must be bit-identical to its standalone run (same d_ret,
-   same engine): batching is a layout change, not a numeric one.
+   same engine): batching is a layout change, not a numeric one. The
+   batched run and the k solo runs are interleaved round by round and
+   each side takes its median (Util.median_runs).
    scripts/check.sh compares the lulesh_omp/k8 speedup against
    bench/batch_threshold and requires bitwise=true on every row. *)
 
 open Util
 module E = Parad_engine.Engine
 module Plan = Parad_core.Plan
-
-let best_of reps f =
-  let best = ref None and keep = ref None in
-  for _ = 1 to reps do
-    let r, ns = f () in
-    match !best with
-    | Some b when b <= ns -> ()
-    | _ ->
-      best := Some ns;
-      keep := Some r
-  done;
-  match !keep, !best with Some r, Some ns -> r, ns | _ -> assert false
 
 let bits_eq (a : float array) (b : float array) =
   Array.length a = Array.length b
@@ -39,7 +29,6 @@ let bits_eq (a : float array) (b : float array) =
 
 let run ~quick =
   header "Batched multi-seed adjoints (one sweep, k seeds)";
-  let reps = if quick then 2 else 3 in
   let engine = E.Seq in
   row_of_strings "config"
     [ "batched_ms"; "k_solo_ms"; "speedup"; "bitwise" ];
@@ -62,20 +51,20 @@ let run ~quick =
       let g =
         L.gradient_compiled ~nthreads:64 ~engine ~d_ret:d_rets.(l) c1 inp
       in
-      g, float_of_int g.L.g_stats.S.wall_ns
+      [| g |], float_of_int g.L.g_stats.S.wall_ns
     in
-    let gs, batched_ns = best_of reps batched in
+    let runs = median_runs (Array.append [| batched |] (Array.init k solo)) in
+    let gs, batched_ns = runs.(0) in
     let solo_ns = ref 0.0 in
     let bitwise = ref true in
-    Array.iteri
-      (fun l _ ->
-        let g, ns = best_of reps (solo l) in
-        solo_ns := !solo_ns +. ns;
-        bitwise :=
-          !bitwise
-          && bits_eq g.L.d_coords.(0) gs.(l).L.d_coords.(0)
-          && bits_eq g.L.d_energy.(0) gs.(l).L.d_energy.(0))
-      d_rets;
+    for l = 0 to k - 1 do
+      let g, ns = runs.(l + 1) in
+      solo_ns := !solo_ns +. ns;
+      bitwise :=
+        !bitwise
+        && bits_eq g.(0).L.d_coords.(0) gs.(l).L.d_coords.(0)
+        && bits_eq g.(0).L.d_energy.(0) gs.(l).L.d_energy.(0)
+    done;
     let name = Printf.sprintf "lulesh_omp/k%d" k in
     row_of_strings name
       [
@@ -111,21 +100,21 @@ let run ~quick =
     in
     let solo l () =
       let g = MB.gradient_compiled ~engine ~ge_seed:ge_seeds.(l) c1 binp in
-      g, float_of_int g.MB.g_stats.S.wall_ns
+      [| g |], float_of_int g.MB.g_stats.S.wall_ns
     in
-    let gs, batched_ns = best_of reps batched in
+    let runs = median_runs (Array.append [| batched |] (Array.init k solo)) in
+    let gs, batched_ns = runs.(0) in
     let solo_ns = ref 0.0 in
     let bitwise = ref true in
-    Array.iteri
-      (fun l _ ->
-        let g, ns = best_of reps (solo l) in
-        solo_ns := !solo_ns +. ns;
-        bitwise :=
-          !bitwise
-          && bits_eq g.MB.d_lig gs.(l).MB.d_lig
-          && bits_eq g.MB.d_pro gs.(l).MB.d_pro
-          && bits_eq g.MB.d_poses gs.(l).MB.d_poses)
-      ge_seeds;
+    for l = 0 to k - 1 do
+      let g, ns = runs.(l + 1) in
+      solo_ns := !solo_ns +. ns;
+      bitwise :=
+        !bitwise
+        && bits_eq g.(0).MB.d_lig gs.(l).MB.d_lig
+        && bits_eq g.(0).MB.d_pro gs.(l).MB.d_pro
+        && bits_eq g.(0).MB.d_poses gs.(l).MB.d_poses
+    done;
     let name = Printf.sprintf "bude_omp/k%d" k in
     row_of_strings name
       [

@@ -1,40 +1,46 @@
 (* Execution-engine figure (ISSUE 9): wall-clock speedup of the lowered
-   slot-addressed runners over the tree-walking interpreter, at identical
+   slot-addressed engine over the tree-walking interpreter, at identical
    virtual-time results.
 
    The headline row is the 64-thread LULESH OMP gradient (the mesh the
    interpreter takes ~half a second on): the same compiled plan is
-   executed on engine=interp, engine=seq and engine=par, wall time taken
-   from Stats.wall_ns (simulation only — plan compilation is excluded),
-   best of [reps] runs. Every engine row's gradient digest must equal the
-   interpreter's. scripts/check.sh compares the seq row's speedup
-   against bench/engine_threshold, and requires par > seq wall-clock
-   only when the host gives the pool at least one real extra core
-   ("cores" is recorded in BENCH_engine.json for that gate). *)
+   executed on engine=interp and engine=seq, wall time taken from
+   Stats.wall_ns (simulation only — plan compilation is excluded), the
+   median of interleaved runs (Util.median_runs). Every engine row's
+   gradient digest must equal the interpreter's. scripts/check.sh
+   compares the seq row's speedup against bench/engine_threshold. *)
 
 open Util
 module E = Parad_engine.Engine
 module SV = Parad_server.Service
 
-let best_of reps f =
-  let best = ref None and keep = ref None in
-  for _ = 1 to reps do
-    let r, ns = f () in
-    match !best with
-    | Some b when b <= ns -> ()
-    | _ ->
-      best := Some ns;
-      keep := Some r
-  done;
-  match !keep, !best with Some r, Some ns -> r, ns | _ -> assert false
+let engines = [| E.Interp; E.Seq |]
 
 let run ~quick =
   header "Execution engine (wall-clock, bit-identical gradients)";
   let cores = Domain.recommended_domain_count () in
-  let domains = (Parad_engine.Pool.get ()).Parad_engine.Pool.size in
-  Printf.printf "host: %d core(s) recommended, %d pool domain(s)\n" cores
-    domains;
-  let reps = if quick then 2 else 3 in
+  Printf.printf "host: %d core(s) recommended\n" cores;
+  row_of_strings "engine" [ "wall_ms"; "speedup"; "makespan"; "bitwise" ];
+  (* one row per engine; the interpreter's (first) row is the baseline *)
+  let report prefix runs digest makespan =
+    let base_digest = digest (fst runs.(0)) and base_ns = snd runs.(0) in
+    Array.for_all Fun.id
+      (Array.mapi
+         (fun j (g, ns) ->
+           let name = prefix ^ E.choice_to_string engines.(j) in
+           let bitwise = digest g = base_digest in
+           row_of_strings name
+             [
+               Printf.sprintf "%.1f" (ns /. 1e6);
+               Printf.sprintf "%.2fx" (base_ns /. ns);
+               Printf.sprintf "%.4g" (makespan g);
+               string_of_bool bitwise;
+             ];
+           record_engine ~name ~cores ~wall_ns:ns ~speedup:(base_ns /. ns)
+             ~makespan:(makespan g) ~bitwise;
+           bitwise)
+         runs)
+  in
 
   subheader "LULESH OMP gradient (nthreads=64)";
   let inp =
@@ -46,32 +52,10 @@ let run ~quick =
     let g = L.gradient_compiled ~nthreads:64 ~engine c inp in
     g, float_of_int g.L.g_stats.S.wall_ns
   in
-  let base, base_ns = best_of reps (grad E.Interp) in
-  let base_digest = SV.digest_lulesh base in
-  row_of_strings "engine" [ "wall_ms"; "speedup"; "makespan"; "bitwise" ];
-  let report name ns (digest, makespan) =
-    let bitwise = digest = base_digest in
-    row_of_strings name
-      [
-        Printf.sprintf "%.1f" (ns /. 1e6);
-        Printf.sprintf "%.2fx" (base_ns /. ns);
-        Printf.sprintf "%.4g" makespan;
-        string_of_bool bitwise;
-      ];
-    record_engine ~name:("lulesh_omp/" ^ name) ~cores ~domains ~wall_ns:ns
-      ~speedup:(base_ns /. ns) ~makespan ~bitwise;
-    bitwise
+  let lulesh_ok =
+    report "lulesh_omp/" (median_runs (Array.map grad engines))
+      SV.digest_lulesh (fun g -> g.L.g_makespan)
   in
-  let ok = ref (report "interp" base_ns (base_digest, base.L.g_makespan)) in
-  List.iter
-    (fun engine ->
-      let g, ns = best_of reps (grad engine) in
-      let bitwise =
-        report (E.choice_to_string engine) ns
-          (SV.digest_lulesh g, g.L.g_makespan)
-      in
-      ok := !ok && bitwise)
-    [ E.Seq; E.Par ];
 
   subheader "miniBUDE OMP gradient (nthreads=8)";
   let binp =
@@ -83,27 +67,11 @@ let run ~quick =
     let g = MB.gradient_compiled ~engine bc binp in
     g, float_of_int g.MB.g_stats.S.wall_ns
   in
-  let bbase, bbase_ns = best_of reps (bgrad E.Interp) in
-  let bdigest = SV.digest_bude bbase in
-  List.iter
-    (fun engine ->
-      let g, ns = best_of reps (bgrad engine) in
-      let bitwise = SV.digest_bude g = bdigest in
-      row_of_strings
-        ("bude_omp/" ^ E.choice_to_string engine)
-        [
-          Printf.sprintf "%.1f" (ns /. 1e6);
-          Printf.sprintf "%.2fx" (bbase_ns /. ns);
-          Printf.sprintf "%.4g" g.MB.g_makespan;
-          string_of_bool bitwise;
-        ];
-      record_engine
-        ~name:("bude_omp/" ^ E.choice_to_string engine)
-        ~cores ~domains ~wall_ns:ns ~speedup:(bbase_ns /. ns)
-        ~makespan:g.MB.g_makespan ~bitwise;
-      ok := !ok && bitwise)
-    [ E.Interp; E.Seq; E.Par ];
-  if not !ok then begin
+  let bude_ok =
+    report "bude_omp/" (median_runs (Array.map bgrad engines))
+      SV.digest_bude (fun g -> g.MB.g_makespan)
+  in
+  if not (lulesh_ok && bude_ok) then begin
     Printf.eprintf "fig_engine: an engine gradient diverged from interp\n";
     exit 1
   end

@@ -544,7 +544,7 @@ type rstate = {
       (* coalesce_comm: adjoint send-duals posted ([mpi.adj_send_post])
          whose accumulation a [mpi.adj_waitall] has not yet completed.
          Only runs of consecutive [mpi.send] reversals batch — any other
-         reversal statement (which could read or accumulate the deferred
+         reversal statement (which could read or accumulate the pending
          adjoint) emits the waitall first, preserving bit-identity with
          the blocking form *)
   mutable in_remat : bool;
@@ -918,7 +918,7 @@ let rec rev_emit rs sc ?if_results (nodes : anode list) =
 and rev_node rs sc ?if_results { occ; ins; subs } =
   let b = rs.fs.b in
   (* complete any batched adjoint send-duals before a statement that could
-     read or accumulate their still-deferred adjoints; only runs of
+     read or accumulate their still-pending adjoints; only runs of
      consecutive sends batch (statements that provably emit no reverse
      work are transparent). [mpi.adj_waitall] completes every registered
      expectation, so emitting it on a path the posts did not take is a

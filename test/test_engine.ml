@@ -1,4 +1,4 @@
-(* Execution engine (ISSUE 9): the lowered slot-addressed runners must be
+(* Execution engine: the lowered slot-addressed engine must be
    bit-identical to the tree-walking interpreter — same gradients by FNV
    digest, same virtual-time makespan, same instruction counts — across
    every app x flavor program, and the structured-failure machinery
@@ -10,11 +10,6 @@ module MB = Apps_minibude.Minibude
 module E = Parad_engine.Engine
 module S = Parad_server.Service
 open Parad_runtime
-
-(* run the par tests on a real 2-domain pool even on single-core hosts:
-   the pool is global and lazy, so the size must be pinned before the
-   first engine=Par execution *)
-let () = if Sys.getenv_opt "PARAD_DOMAINS" = None then Unix.putenv "PARAD_DOMAINS" "2"
 
 let tiny = { L.nx = 2; ny = 2; nz = 4; niter = 3; dt0 = 0.01; escale = 1.0 }
 
@@ -49,8 +44,7 @@ let test_lulesh_bit_identity () =
       let c = L.compile flavor in
       let g engine = L.gradient_compiled ~nthreads ~nranks ~engine c tiny in
       let base = g E.Interp in
-      check_same (L.flavor_name flavor ^ " seq") base (g E.Seq);
-      check_same (L.flavor_name flavor ^ " par") base (g E.Par))
+      check_same (L.flavor_name flavor ^ " seq") base (g E.Seq))
     lulesh_flavors
 
 let bude_inp = MB.deck ~nposes:12 ~natlig:6 ~natpro:10
@@ -72,20 +66,14 @@ let test_bude_bit_identity () =
           (MB.variant_name variant ^ " " ^ name ^ " instrs")
           base.MB.g_stats.Stats.instrs x.MB.g_stats.Stats.instrs
       in
-      check "seq" (g E.Seq);
-      check "par" (g E.Par))
+      check "seq" (g E.Seq))
     [ MB.Seq; MB.Omp; MB.Julia ]
 
 let test_primal_identity () =
   (* primal runs (Exec.run / run_spmd with the engine's call) agree too *)
   let base = (L.run L.Omp ~nthreads:4 tiny).L.total_energy in
-  List.iter
-    (fun engine ->
-      let r = L.run ~nthreads:4 ~engine L.Omp tiny in
-      Alcotest.(check (float 0.0))
-        ("omp primal " ^ E.choice_to_string engine)
-        base r.L.total_energy)
-    [ E.Seq; E.Par ];
+  let r = L.run ~nthreads:4 ~engine:E.Seq L.Omp tiny in
+  Alcotest.(check (float 0.0)) "omp primal seq" base r.L.total_energy;
   let eb = (MB.run ~nthreads:3 MB.Julia bude_inp).MB.energies in
   let es = (MB.run ~nthreads:3 ~engine:E.Seq MB.Julia bude_inp).MB.energies in
   Alcotest.(check bool) "julia primal energies" true (eb = es)

@@ -1,7 +1,7 @@
 (* Gradient service: JSON codec, plan-cache correctness (warm results
    bit-identical to cold), admission shedding, circuit-breaker
-   lifecycle, deadline classification, checkpoint namespace hygiene,
-   and a mini seeded slam soak. *)
+   lifecycle, deadline classification, no hidden state across request
+   orders, checkpoint namespace hygiene, and a mini seeded slam soak. *)
 
 open Parad_runtime
 module S = Parad_server.Service
@@ -212,6 +212,46 @@ let test_validation () =
   Alcotest.(check string) "malformed line classified" "invalid" (cls r);
   let ok = send svc (base "mpi" 2) in
   Alcotest.(check string) "server still healthy" "ok" (cls ok)
+
+let test_engine_par_rejected () =
+  let svc = S.create ~cfg:no_watchdog () in
+  let r = send svc (("engine", J.Str "par") :: base "omp" 1) in
+  Alcotest.(check string) "par engine rejected" "invalid" (cls r);
+  Alcotest.(check (option string))
+    "names the accepted engines"
+    (Some {|unknown engine "par" (interp|seq)|})
+    (J.str_field "error" r)
+
+(* ---- no hidden state between requests ---- *)
+
+let test_order_swap () =
+  (* two requests on different plans and layers (a seed-batched engine
+     sweep, a checkpointed MPI sweep) must answer the same bits and the
+     same virtual cycles whatever ran before them on the service *)
+  let a = ("engine", J.Str "seq") :: ("seeds", J.Num 8.0) :: base "omp" 1 in
+  let b = ("snap_budget", J.Num 2.0) :: base "mpi" 2 in
+  let run order =
+    let svc = S.create ~cfg:no_watchdog () in
+    List.map (fun (name, fields) -> name, send svc fields) order
+  in
+  let ab = run [ "a", a; "b", b ] and ba = run [ "b", b; "a", a ] in
+  let alone = run [ "a", a ] @ run [ "b", b ] in
+  let key r = digest r, J.str_field "total" r, J.num_field "exec_cycles" r in
+  List.iter
+    (fun name ->
+      let solo = List.assoc name alone in
+      Alcotest.(check string) (name ^ " ok") "ok" (cls solo);
+      Alcotest.(check bool) (name ^ " has a digest") true (digest solo <> None);
+      List.iter
+        (fun (order, rs) ->
+          let d, tot, cyc = key (List.assoc name rs)
+          and d0, tot0, cyc0 = key solo in
+          Alcotest.(check (option string)) (name ^ " digest, " ^ order) d0 d;
+          Alcotest.(check (option string)) (name ^ " total, " ^ order) tot0 tot;
+          Alcotest.(check (option (float 0.0)))
+            (name ^ " exec cycles, " ^ order) cyc0 cyc)
+        [ "a then b", ab; "b then a", ba ])
+    [ "a"; "b" ]
 
 (* ---- deadlines ---- *)
 
@@ -494,6 +534,9 @@ let () =
       ( "robustness",
         [
           Alcotest.test_case "validation" `Quick test_validation;
+          Alcotest.test_case "engine-par-rejected" `Quick
+            test_engine_par_rejected;
+          Alcotest.test_case "order-swap" `Quick test_order_swap;
           Alcotest.test_case "deadline" `Quick test_deadline_classified;
           Alcotest.test_case "admission" `Quick test_admission_sheds;
           Alcotest.test_case "retry" `Quick test_retry_consumes_kill;
