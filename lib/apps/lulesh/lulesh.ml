@@ -774,130 +774,114 @@ let config_of ?cost ~nthreads (c : compiled) =
     coalesce = c.c_opts.Parad_core.Plan.coalesce_comm;
   }
 
-(* Shadow-argument setup shared by every monolithic reverse sweep: seven
-   zero shadow buffers (coords, velocities, energy), the nodelist and
-   mass shadows, the loss seed on rank 0, and the scalar-adjoint
-   spill cell for dt0. *)
-let grad_setup ?inject_nan ?(d_ret = 1.0) flavor (inp : input) ~nranks
-    ~shadows ctx ~rank =
-  let args, bufs, m = setup_args ?inject_nan flavor inp ~nranks ctx ~rank in
-  ignore bufs;
+(* Shadow-argument setup shared by every monolithic reverse sweep, for a
+   plan of k = [Array.length d_rets] lanes: seven zero shadow planes
+   (coords, velocities, energy) with k cells per element, lane [l] of
+   cell [i] at [i*k + l], the nodelist and mass shadows, the loss seed
+   on rank 0 ([d_rets.(l)] for lane [l]) and the scalar-adjoint spill
+   cells for dt0. A 1-lane plan takes its seed as a scalar [VFloat]; a
+   k-lane plan as a k-cell buffer. *)
+let grad_setup ?inject_nan flavor (inp : input) ~nranks ~d_rets ~shadows ctx
+    ~rank =
+  let lanes = Array.length d_rets in
+  let args, _, m = setup_args ?inject_nan flavor inp ~nranks ctx ~rank in
   let jl = julia flavor in
-  let nn = Array.length m.node_mass in
   let ne = Array.length m.energy in
+  (* k-stride plane lengths *)
+  let nn_k = Array.length m.node_mass * lanes and ne_k = ne * lanes in
   let mk len =
     let d = Exec.floats ctx (Array.make len 0.0) in
     if jl then Exec.ptr_cell ctx d, d else d, d
   in
-  let svals = Array.init 7 (fun i -> mk (if i < 6 then nn else ne)) in
+  let svals = Array.init 7 (fun i -> mk (if i < 6 then nn_k else ne_k)) in
   (* shadow of nodelist (Ptr Int) and mass *)
   let d_nl = Exec.ints ctx (Array.make (ne * 8) 0) in
-  let d_mass, _ = mk nn in
+  let d_mass, _ = mk nn_k in
   shadows.(rank) <- Array.map snd svals;
+  let d_ret =
+    if lanes = 1 then Value.VFloat (if rank = 0 then d_rets.(0) else 0.0)
+    else Exec.floats ctx (if rank = 0 then d_rets else Array.make lanes 0.0)
+  in
   (* dt0 is an active scalar argument: its adjoint lands in d_args *)
-  let d_args = Exec.zeros ctx 1 in
+  let d_args = Exec.zeros ctx lanes in
   args
   @ Array.to_list (Array.map fst svals)
-  @ [ d_nl; d_mass; Value.VFloat (if rank = 0 then d_ret else 0.0); d_args ]
+  @ [ d_nl; d_mass; d_ret; d_args ]
 
-let pack_grad ~nranks ~shadows ~values ~makespan ~stats =
-  {
-    g_total = Value.to_float values.(0);
-    d_coords = Array.init nranks (fun r -> Exec.to_floats shadows.(r).(0));
-    d_energy = Array.init nranks (fun r -> Exec.to_floats shadows.(r).(6));
-    g_makespan = makespan;
-    g_stats = stats;
-  }
-
-(** Execute one gradient request against a cached plan. Pure
-    interpretation — no pipeline work — so repeated calls with equal
-    inputs are bit-identical to each other and to a cold
-    {!gradient}. *)
-let gradient_compiled ?cost ?(nthreads = 1) ?(nranks = 1) ?faults ?mpi_ref
-    ?san ?inject_nan ?deadline ?d_ret ?(engine = Engine.Interp) (c : compiled)
-    (inp : input) : grad_result =
-  let cfg = config_of ?cost ~nthreads c in
-  let shadows = Array.make nranks [||] in
-  let res =
-    Exec.run_spmd ~cfg ?faults ?mpi_ref ?san ?deadline
-      ~call:(Engine.call_fn c.c_eng engine) c.c_dprog ~nranks
-      ~fname:c.c_dname
-      ~setup:(grad_setup ?inject_nan ?d_ret c.c_flavor inp ~nranks ~shadows)
-  in
-  pack_grad ~nranks ~shadows ~values:res.Exec.values
-    ~makespan:res.Exec.makespan ~stats:res.Exec.stats
+(* One result per lane. A 1-lane result holds the per-rank shadow planes
+   themselves; a k-lane one copies out lane [l]'s column of each. The
+   1-lane case builds no closures: it is every plain request's path, and
+   warm-request latency moves with per-request allocation. *)
+let pack_grad ~lanes ~nranks ~shadows ~values ~makespan ~stats =
+  let coords = Array.init nranks (fun r -> Exec.to_floats shadows.(r).(0))
+  and energy = Array.init nranks (fun r -> Exec.to_floats shadows.(r).(6))
+  and g_total = Value.to_float values.(0) in
+  if lanes = 1 then
+    [|
+      {
+        g_total;
+        d_coords = coords;
+        d_energy = energy;
+        g_makespan = makespan;
+        g_stats = stats;
+      };
+    |]
+  else
+    let column lane =
+      Array.map (fun p ->
+          Array.init (Array.length p / lanes) (fun i -> p.((i * lanes) + lane)))
+    in
+    Array.init lanes (fun lane ->
+        {
+          g_total;
+          d_coords = column lane coords;
+          d_energy = column lane energy;
+          g_makespan = makespan;
+          g_stats = stats;
+        })
 
 (* ---- batched multi-seed adjoints (ISSUE 10) ----
 
    A plan compiled with [opts.seeds = k > 1] emits k-stride adjoint
    planes: one forward/taping pass and one reverse sweep propagate all k
    return seeds, sharing the tape, the cache stream, and every primal
-   re-evaluation across lanes. *)
+   re-evaluation across lanes. A plan with [opts.seeds = 1] is the
+   single-seed gradient: the same body at k = 1. *)
 
-let grad_setup_batched flavor (inp : input) ~seeds ~d_rets ~shadows ctx ~rank
-    =
-  let args, bufs, m = setup_args flavor inp ~nranks:1 ctx ~rank in
-  ignore bufs;
-  let jl = julia flavor in
-  let nn = Array.length m.node_mass in
-  let ne = Array.length m.energy in
-  let mk len =
-    let d = Exec.floats ctx (Array.make len 0.0) in
-    if jl then Exec.ptr_cell ctx d, d else d, d
-  in
-  let svals =
-    Array.init 7 (fun i -> mk ((if i < 6 then nn else ne) * seeds))
-  in
-  let d_nl = Exec.ints ctx (Array.make (ne * 8) 0) in
-  let d_mass, _ = mk (nn * seeds) in
-  shadows.(rank) <- Array.map snd svals;
-  (* d_ret is a k-cell seed buffer under batched lanes (k > 1); a 1-lane
-     plan keeps the classic scalar-seed convention *)
-  let d_ret =
-    if seeds = 1 then Value.VFloat d_rets.(0) else Exec.floats ctx d_rets
-  in
-  let d_args = Exec.zeros ctx seeds in
-  args
-  @ Array.to_list (Array.map fst svals)
-  @ [ d_nl; d_mass; d_ret; d_args ]
-
-(** Run one batched gradient against a plan compiled with
-    [opts.seeds = k > 1]: [d_rets.(l)] seeds lane [l]'s return adjoint,
-    and the result array holds lane [l]'s gradient at index [l] — each
-    column bit-identical to a standalone single-seed run with
-    [~d_ret:d_rets.(l)]. Shared-memory flavors only (single rank): the
-    MPI adjoint runtime exchanges single-stride planes, so batched MPI
-    plans are rejected at compile time. *)
-let gradient_batched ?cost ?(nthreads = 1) ?faults ?san ?deadline
-    ?(engine = Engine.Interp) (c : compiled) ~d_rets (inp : input) :
-    grad_result array =
-  let seeds = c.c_opts.Parad_core.Plan.seeds in
-  if Array.length d_rets <> seeds then
+(** Execute one gradient request against a cached plan of k =
+    [opts.seeds] lanes: [d_rets.(l)] seeds lane [l]'s return adjoint on
+    rank 0, and the result array holds lane [l]'s gradient at index [l]
+    — each column bit-identical to a 1-lane run with
+    [~d_ret:d_rets.(l)]. Pure interpretation — no pipeline work — so
+    repeated calls with equal inputs are bit-identical to each other and
+    to a cold {!gradient}. k > 1 needs a shared-memory flavor on one
+    rank: the MPI adjoint runtime exchanges single-stride planes, so
+    batched MPI plans are rejected at compile time. *)
+let gradient_batched ?cost ?(nthreads = 1) ?(nranks = 1) ?faults ?mpi_ref ?san
+    ?inject_nan ?deadline ?(engine = Engine.Interp) (c : compiled) ~d_rets
+    (inp : input) : grad_result array =
+  let lanes = c.c_opts.Parad_core.Plan.seeds in
+  if Array.length d_rets <> lanes then
     invalid_arg
       (Printf.sprintf "gradient_batched: %d seed values for a %d-lane plan"
-         (Array.length d_rets) seeds);
+         (Array.length d_rets) lanes);
   let cfg = config_of ?cost ~nthreads c in
-  let shadows = Array.make 1 [||] in
+  let shadows = Array.make nranks [||] in
   let res =
-    Exec.run_spmd ~cfg ?faults ?san ?deadline
-      ~call:(Engine.call_fn c.c_eng engine) c.c_dprog ~nranks:1
+    Exec.run_spmd ~cfg ?faults ?mpi_ref ?san ?deadline
+      ~call:(Engine.call_fn c.c_eng engine) c.c_dprog ~nranks
       ~fname:c.c_dname
-      ~setup:(grad_setup_batched c.c_flavor inp ~seeds ~d_rets ~shadows)
+      ~setup:(grad_setup ?inject_nan c.c_flavor inp ~nranks ~d_rets ~shadows)
   in
-  let coords = Exec.to_floats shadows.(0).(0) in
-  let energy = Exec.to_floats shadows.(0).(6) in
-  let col plane lane =
-    let n = Array.length plane / seeds in
-    Array.init n (fun i -> plane.((i * seeds) + lane))
-  in
-  Array.init seeds (fun lane ->
-      {
-        g_total = Value.to_float res.Exec.values.(0);
-        d_coords = [| col coords lane |];
-        d_energy = [| col energy lane |];
-        g_makespan = res.Exec.makespan;
-        g_stats = res.Exec.stats;
-      })
+  pack_grad ~lanes ~nranks ~shadows ~values:res.Exec.values
+    ~makespan:res.Exec.makespan ~stats:res.Exec.stats
+
+(** {!gradient_batched} on a 1-lane plan, seeded with [d_ret]. *)
+let gradient_compiled ?cost ?nthreads ?nranks ?faults ?mpi_ref ?san
+    ?inject_nan ?deadline ?(d_ret = 1.0) ?engine (c : compiled) (inp : input)
+    : grad_result =
+  (gradient_batched ?cost ?nthreads ?nranks ?faults ?mpi_ref ?san ?inject_nan
+     ?deadline ?engine c ~d_rets:[| d_ret |] inp).(0)
 
 (** Gradient of the returned total energy w.r.t. initial coordinates and
     element energies (seeded on rank 0's return, as the loss is
@@ -948,10 +932,10 @@ let gradient_recoverable_compiled ?(nthreads = 1) ?(nranks = 1) ?faults
     Exec.run_spmd_recoverable ~cfg ?faults ?mpi_ref ?san ?max_restarts ?policy
       ?deadline ~call:(Engine.call_fn c.c_eng engine) c.c_dprog ~nranks
       ~fname:c.c_dname
-      ~setup:(grad_setup c.c_flavor inp ~nranks ~shadows)
+      ~setup:(grad_setup c.c_flavor inp ~nranks ~d_rets:[| 1.0 |] ~shadows)
   in
-  ( pack_grad ~nranks ~shadows ~values:res.Exec.values
-      ~makespan:res.Exec.makespan ~stats:res.Exec.stats,
+  ( (pack_grad ~lanes:1 ~nranks ~shadows ~values:res.Exec.values
+       ~makespan:res.Exec.makespan ~stats:res.Exec.stats).(0),
     recov )
 
 (** Like {!gradient}, but supervised: the gradient's forward sweep

@@ -353,62 +353,21 @@ let compile ?(opts = Parad_core.Plan.default_options) ?(post_opt = true)
   { c_variant = variant; c_ntasks = ntasks; c_opts = opts; c_prog = prog;
     c_dprog = dprog; c_dname = dname; c_eng = Engine.prepare dprog }
 
-(** Execute one gradient request against a cached plan (pure
-    interpretation; bit-identical to a cold {!gradient}). *)
-let gradient_compiled ?nthreads ?san ?faults ?deadline ?(ge_seed = 1.0)
-    ?(engine = Engine.Interp) (c : compiled) (inp : input) : grad_result =
-  let nthreads = Option.value nthreads ~default:c.c_ntasks in
-  let cfg = { Interp.default_config with nthreads } in
-  let variant = c.c_variant in
-  let dprog, dname = c.c_dprog, c.c_dname in
-  let shadows = ref [] in
-  let outs = ref [] in
-  let res =
-    Exec.run ~cfg ?san ?faults ?deadline
-      ~call:(Engine.call_fn c.c_eng engine) dprog ~fname:dname
-      ~setup:(fun ctx ->
-        let args, bufs = setup_args variant inp ctx in
-        outs := bufs;
-        (* shadows, in pointer-parameter order *)
-        let shade len seed = Exec.floats ctx (Array.make len seed) in
-        let gl = shade (Array.length inp.lig_data) 0.0 in
-        let gp = shade (Array.length inp.pro_data) 0.0 in
-        let gq = shade (Array.length inp.pose_data) 0.0 in
-        let ge = shade inp.nposes ge_seed in
-        shadows := [ gl; gp; gq; ge ];
-        match variant with
-        | Seq | Omp ->
-          let d_deck = Exec.ptr_table ctx [ gl; gp; gq ] in
-          args @ [ d_deck; ge ]
-        | Julia ->
-          let wrap v = Exec.ptr_cell ctx v in
-          args @ [ wrap gl; wrap gp; wrap gq; wrap ge ])
-  in
-  match !shadows, List.rev !outs with
-  | [ gl; gp; gq; _ ], e :: _ ->
-    {
-      g_energies = Exec.to_floats e;
-      d_lig = Exec.to_floats gl;
-      d_pro = Exec.to_floats gp;
-      d_poses = Exec.to_floats gq;
-      g_makespan = res.Exec.makespan;
-      g_stats = res.Exec.stats;
-    }
-  | _ -> assert false
-
-(** Batched multi-seed adjoints (ISSUE 10): against a plan compiled with
-    [opts.seeds = k > 1], one taping pass and one reverse sweep propagate
-    k energy seeds — lane [l] seeds every pose's energy adjoint with
-    [ge_seeds.(l)]. Returns one {!grad_result} per lane, each column
-    bit-identical to a standalone run with [~ge_seed:ge_seeds.(l)]. *)
+(** Execute one gradient request against a cached plan of k =
+    [opts.seeds] lanes: one taping pass and one reverse sweep propagate
+    k energy seeds — lane [l] seeds every pose's energy
+    adjoint with [ge_seeds.(l)]. Returns one {!grad_result} per lane,
+    each column bit-identical to a 1-lane run with
+    [~ge_seed:ge_seeds.(l)]. Pure interpretation; bit-identical to a
+    cold {!gradient}. *)
 let gradient_batched ?nthreads ?san ?faults ?deadline
     ?(engine = Engine.Interp) (c : compiled) ~ge_seeds (inp : input) :
     grad_result array =
-  let seeds = c.c_opts.Parad_core.Plan.seeds in
-  if Array.length ge_seeds <> seeds then
+  let lanes = c.c_opts.Parad_core.Plan.seeds in
+  if Array.length ge_seeds <> lanes then
     invalid_arg
       (Printf.sprintf "gradient_batched: %d seed values for a %d-lane plan"
-         (Array.length ge_seeds) seeds);
+         (Array.length ge_seeds) lanes);
   let nthreads = Option.value nthreads ~default:c.c_ntasks in
   let cfg = { Interp.default_config with nthreads } in
   let variant = c.c_variant in
@@ -420,16 +379,18 @@ let gradient_batched ?nthreads ?san ?faults ?deadline
       ~setup:(fun ctx ->
         let args, bufs = setup_args variant inp ctx in
         outs := bufs;
-        (* k-stride shadow planes: cell i, lane l at [i*k + l] *)
-        let plane len = Exec.floats ctx (Array.make (len * seeds) 0.0) in
+        (* shadows, in pointer-parameter order, as k-stride planes: cell
+           i, lane l at [i*k + l] *)
+        let plane len = Exec.floats ctx (Array.make (len * lanes) 0.0) in
         let gl = plane (Array.length inp.lig_data) in
         let gp = plane (Array.length inp.pro_data) in
         let gq = plane (Array.length inp.pose_data) in
-        let ge =
-          Exec.floats ctx
-            (Array.init (inp.nposes * seeds) (fun i ->
-                 ge_seeds.(i mod seeds)))
-        in
+        (* every pose's k lanes hold [ge_seeds] *)
+        let ge_cells = Array.make (inp.nposes * lanes) 0.0 in
+        for p = 0 to inp.nposes - 1 do
+          Array.blit ge_seeds 0 ge_cells (p * lanes) lanes
+        done;
+        let ge = Exec.floats ctx ge_cells in
         shadows := [ gl; gp; gq; ge ];
         match variant with
         | Seq | Omp ->
@@ -445,20 +406,40 @@ let gradient_batched ?nthreads ?san ?faults ?deadline
     let pl = Exec.to_floats gl
     and pp = Exec.to_floats gp
     and pq = Exec.to_floats gq in
-    let col plane lane =
-      let n = Array.length plane / seeds in
-      Array.init n (fun i -> plane.((i * seeds) + lane))
-    in
-    Array.init seeds (fun lane ->
+    let g_makespan = res.Exec.makespan and g_stats = res.Exec.stats in
+    (* a 1-lane plane is its own column *)
+    if lanes = 1 then
+      [|
         {
           g_energies = energies;
-          d_lig = col pl lane;
-          d_pro = col pp lane;
-          d_poses = col pq lane;
-          g_makespan = res.Exec.makespan;
-          g_stats = res.Exec.stats;
-        })
+          d_lig = pl;
+          d_pro = pp;
+          d_poses = pq;
+          g_makespan;
+          g_stats;
+        };
+      |]
+    else
+      let col plane lane =
+        Array.init (Array.length plane / lanes) (fun i ->
+            plane.((i * lanes) + lane))
+      in
+      Array.init lanes (fun lane ->
+          {
+            g_energies = energies;
+            d_lig = col pl lane;
+            d_pro = col pp lane;
+            d_poses = col pq lane;
+            g_makespan;
+            g_stats;
+          })
   | _ -> assert false
+
+(** {!gradient_batched} on a 1-lane plan, seeded with [ge_seed]. *)
+let gradient_compiled ?nthreads ?san ?faults ?deadline ?(ge_seed = 1.0)
+    ?engine (c : compiled) (inp : input) : grad_result =
+  (gradient_batched ?nthreads ?san ?faults ?deadline ?engine c
+     ~ge_seeds:[| ge_seed |] inp).(0)
 
 (** Reverse-mode gradient of sum(energies) w.r.t. ligand, protein and
     poses, through the chosen parallel variant. One-shot: compiles and

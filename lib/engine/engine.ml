@@ -40,7 +40,7 @@ type clk = { mutable now : float }
    same amortized wall-clock watchdog as Sim.charge. *)
 type dl = {
   vdl : float option;
-  wall_stop : float option;
+  wall_stop : int option;
   wall_ms : float;
   mutable tick : int;
 }
@@ -127,7 +127,7 @@ let check_dl t (d : dl) =
   match d.wall_stop with
   | Some stop ->
     d.tick <- d.tick + 1;
-    if d.tick land wall_mask = 0 && Unix.gettimeofday () > stop then
+    if d.tick land wall_mask = 0 && Sim.wall_ns () > stop then
       raise
         (Sim.Deadline_exceeded
            { de_at = t.clock.now; de_limit = d.wall_ms; de_wall = true })

@@ -15,12 +15,10 @@ type result = {
    in a structured failure (deadline, rank kill), which is why the clock
    is folded in via [Fun.protect]. *)
 let timed_run ~cost ~stats ?deadline body =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Sim.wall_ns () in
   Fun.protect
     ~finally:(fun () ->
-      stats.Stats.wall_ns <-
-        stats.Stats.wall_ns
-        + int_of_float ((Unix.gettimeofday () -. t0) *. 1e9))
+      stats.Stats.wall_ns <- stats.Stats.wall_ns + (Sim.wall_ns () - t0))
     (fun () -> Sim.run ~cost ~stats ?deadline body)
 
 (** Allocate a float buffer in [ctx]'s address space, initialized from

@@ -145,7 +145,7 @@ type engine = {
      per-charge hot path stays one branch on fault-free runs *)
   guarded : bool;
   vdeadline : float option;
-  wall_stop : float option;  (** absolute [Unix.gettimeofday] cutoff *)
+  wall_stop : int option;  (** absolute {!wall_ns} cutoff *)
   wall_ms : float;  (** the configured wall budget, for the report *)
   mutable wall_tick : int;
 }
@@ -170,7 +170,11 @@ let stats () = (eng ()).stats
 let self () = (eng ()).current
 let now () = (self ()).clock
 
-(* Wall-clock probes cost a syscall; amortize them over charges. The
+(** Host monotonic clock, in nanoseconds. [Stats.wall_ns] and the wall
+    watchdogs read it, so neither moves when the system clock is set. *)
+let wall_ns () = Int64.to_int (Monotonic_clock.now ())
+
+(* Wall-clock probes cost a clock read; amortize them over charges. The
    mask trades detection latency for overhead — 4096 charges is well
    under a millisecond of host time. *)
 let wall_mask = 4095
@@ -183,7 +187,7 @@ let check_deadline e clock =
   match e.wall_stop with
   | Some stop ->
     e.wall_tick <- e.wall_tick + 1;
-    if e.wall_tick land wall_mask = 0 && Unix.gettimeofday () > stop then
+    if e.wall_tick land wall_mask = 0 && wall_ns () > stop then
       raise
         (Deadline_exceeded
            { de_at = clock; de_limit = e.wall_ms; de_wall = true })
@@ -432,7 +436,7 @@ let run ?(cost = Cost_model.default) ?(stats = Stats.create ())
   let wall_ms = Option.value deadline.dl_wall_ms ~default:0.0 in
   let wall_stop =
     Option.map
-      (fun ms -> Unix.gettimeofday () +. (ms /. 1000.))
+      (fun ms -> wall_ns () + int_of_float (ms *. 1e6))
       deadline.dl_wall_ms
   in
   let e =

@@ -39,7 +39,7 @@ let mem t key = List.mem_assoc key t.items
 (** The keys currently cached, most recently used first. *)
 let keys t = List.map fst t.items
 
-let now_ns () = Unix.gettimeofday () *. 1e9
+let now_ns () = float_of_int (Parad_runtime.Sim.wall_ns ())
 
 (* Move [key] to the front; assumes present. *)
 let promote t key =

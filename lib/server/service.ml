@@ -311,7 +311,7 @@ let fold_lulesh h (g : L.grad_result) =
 let digest_lulesh g = Printf.sprintf "%016Lx" (fold_lulesh fnv_init g)
 
 (** Batched digest: the lane digests chained in lane order, so it covers
-    every adjoint column of the sweep. *)
+    every adjoint column of the sweep. Over one lane it is {!digest_lulesh}. *)
 let digest_lulesh_lanes gs =
   Printf.sprintf "%016Lx" (Array.fold_left fold_lulesh fnv_init gs)
 
@@ -485,14 +485,14 @@ let attempt rq plan ~faults =
       g.L.g_makespan,
       g.L.g_stats.Stats.instrs,
       g.L.g_stats.Stats.wall_ns )
-  | Plulesh c, Lulesh _ when rq.rq_seeds > 1 ->
+  | Plulesh c, Lulesh _ ->
     (* one taping pass, one k-wide reverse sweep: lane [l] seeded with
-       [l + 1], matching `parad grad --seeds` *)
-    let d_rets =
-      Array.init rq.rq_seeds (fun l -> 1.0 +. float_of_int l)
-    in
+       [l + 1], matching `parad grad --seeds`; k = 1 is the plain
+       gradient *)
+    let d_rets = Array.init rq.rq_seeds (fun l -> 1.0 +. float_of_int l) in
     let gs =
-      L.gradient_batched ~nthreads:rq.rq_nthreads ?faults ?san ~deadline
+      L.gradient_batched ~nthreads:rq.rq_nthreads ~nranks:rq.rq_nranks
+        ?faults ?san ?inject_nan:rq.rq_inject_nan ~deadline
         ~engine:rq.rq_engine c ~d_rets (lulesh_input rq)
     in
     ( sanitizer_class (),
@@ -501,23 +501,9 @@ let attempt rq plan ~faults =
       gs.(0).L.g_makespan,
       gs.(0).L.g_stats.Stats.instrs,
       gs.(0).L.g_stats.Stats.wall_ns )
-  | Plulesh c, Lulesh _ ->
-    let g =
-      L.gradient_compiled ~nthreads:rq.rq_nthreads ~nranks:rq.rq_nranks
-        ?faults ?san ?inject_nan:rq.rq_inject_nan ~deadline
-        ~engine:rq.rq_engine c (lulesh_input rq)
-    in
-    ( sanitizer_class (),
-      digest_lulesh g,
-      g.L.g_total,
-      g.L.g_makespan,
-      g.L.g_stats.Stats.instrs,
-      g.L.g_stats.Stats.wall_ns )
-  | Pbude c, Bude _ when rq.rq_seeds > 1 ->
+  | Pbude c, Bude _ ->
     let inp = MB.deck ~nposes:rq.rq_nposes ~natlig:4 ~natpro:6 in
-    let ge_seeds =
-      Array.init rq.rq_seeds (fun l -> 1.0 +. float_of_int l)
-    in
+    let ge_seeds = Array.init rq.rq_seeds (fun l -> 1.0 +. float_of_int l) in
     let gs =
       MB.gradient_batched ~nthreads:rq.rq_nthreads ?san ?faults ~deadline
         ~engine:rq.rq_engine c ~ge_seeds inp
@@ -528,18 +514,6 @@ let attempt rq plan ~faults =
       gs.(0).MB.g_makespan,
       gs.(0).MB.g_stats.Stats.instrs,
       gs.(0).MB.g_stats.Stats.wall_ns )
-  | Pbude c, Bude _ ->
-    let inp = MB.deck ~nposes:rq.rq_nposes ~natlig:4 ~natpro:6 in
-    let g =
-      MB.gradient_compiled ~nthreads:rq.rq_nthreads ?san ?faults ~deadline
-        ~engine:rq.rq_engine c inp
-    in
-    ( sanitizer_class (),
-      digest_bude g,
-      Array.fold_left ( +. ) 0.0 g.MB.g_energies,
-      g.MB.g_makespan,
-      g.MB.g_stats.Stats.instrs,
-      g.MB.g_stats.Stats.wall_ns )
   | Plulesh _, Bude _ | Pbude _, Lulesh _ ->
     invalid_arg "Service.attempt: plan/app mismatch (cache key collision)"
 

@@ -6,7 +6,7 @@
     executed float statement appends a (lhs-slot, (arg-slot, partial)...)
     entry to a per-rank Jacobian tape, memory cells carry slots in side
     arrays, and MPI operations append communication entries. The reverse
-    sweep interprets the tape backwards, exchanging adjoints over the same
+    sweep walks the tape backwards, exchanging adjoints over the same
     (simulated) network in reversed order.
 
     Like CoDiPack, the baseline cannot differentiate fork/join or task
@@ -140,30 +140,50 @@ let instrument t : Interp.instrument =
         end);
   }
 
-(* ---- reverse sweep ---- *)
+(* ---- reverse sweep ----
 
-type sweep = { tape : t; adj : float array }
+   One reverse pass propagates [width] independent seed vectors at once
+   through slot-major adjoint planes ([adj.(s * width + lane)]); width 1
+   is the scalar sweep. Each lane's arithmetic is the same operations in
+   the same order whatever the width, so lane [l] is bit-identical to a
+   width-1 sweep seeded with lane [l]'s seeds — but the tape walk, the
+   partials, and the communication latency are paid once instead of
+   [width] times. Each entry charges one [tape_reverse] regardless of
+   width: the virtual cost model agrees with the host-time amortization.
+   All ranks of an SPMD run must use the same [width]. *)
 
-let sweep t = { tape = t; adj = Array.make t.next_slot 0.0 }
+type sweep = { tape : t; width : int; adj : float array }
 
-(** Seed d(loss)/d(current cell values) of a buffer. *)
-let seed sw (v : Value.t) (s : float array) =
+let sweep ~width t =
+  if width < 1 then error "Tape.sweep: width must be >= 1";
+  { tape = t; width; adj = Array.make (t.next_slot * width) 0.0 }
+
+(** Seed lane [lane] with d(loss_lane)/d(current cell values) of a
+    buffer. *)
+let seed sw ~lane (v : Value.t) (s : float array) =
   match v with
   | VPtr { buf; off = 0 } ->
-    let a = buf_slots sw.tape buf in
+    let a = buf_slots sw.tape buf
+    and w = sw.width in
     Array.iteri
-      (fun i x -> if a.(i) <> 0 then sw.adj.(a.(i)) <- sw.adj.(a.(i)) +. x)
+      (fun i x ->
+        if a.(i) <> 0 then
+          sw.adj.((a.(i) * w) + lane) <- sw.adj.((a.(i) * w) + lane) +. x)
       s
   | _ -> error "Tape.seed: need a whole-buffer pointer"
 
-let seed_slot sw slot x = if slot <> 0 then sw.adj.(slot) <- sw.adj.(slot) +. x
+let seed_slot sw ~lane slot x =
+  if slot <> 0 then
+    sw.adj.((slot * sw.width) + lane) <-
+      sw.adj.((slot * sw.width) + lane) +. x
 
-(** Adjoints of an activated input buffer (activation-time slots). *)
-let adjoint_of sw (v : Value.t) =
+(** Lane [lane]'s adjoints of an activated input buffer (activation-time
+    slots). *)
+let adjoint_of sw ~lane (v : Value.t) =
   match v with
   | VPtr { buf; off = 0 } -> (
     match Hashtbl.find_opt sw.tape.activated buf.bid with
-    | Some slots -> Array.map (fun s -> sw.adj.(s)) slots
+    | Some slots -> Array.map (fun s -> sw.adj.((s * sw.width) + lane)) slots
     | None -> error "Tape.adjoint_of: buffer was not activated")
   | _ -> error "Tape.adjoint_of: need a whole-buffer pointer"
 
@@ -185,95 +205,6 @@ let mpi_of (ctx : Interp.ctx) =
   | Some m -> m
   | None -> error "tape reverse: MPI entry outside an SPMD run"
 
-(* Reverse one communication entry: the network part of the sweep,
-   shared by the entry-interpreting sweep and the lowered program.
-   [Stmt] entries never reach it. *)
-let reverse_comm adj (ctx : Interp.ctx) entry =
-  let mpi () = mpi_of ctx in
-  match entry with
-  | Stmt _ -> assert false
-  | Send { peer; tag; slots } ->
-      (* reverse of a send: receive the adjoint contribution *)
-      let n = Array.length slots in
-      with_temp ctx n (fun p ->
-          let req =
-            Mpi_state.irecv (mpi ()) ~rank:ctx.Interp.rank ~ptr:p ~count:n
-              ~src:peer ~tag:(tag + adj_tag_base)
-          in
-          ignore (Mpi_state.wait (mpi ()) ~rank:ctx.Interp.rank ~req);
-          Array.iteri
-            (fun i s ->
-              if s <> 0 then
-                adj.(s) <- adj.(s) +. to_float (Memory.load p i))
-            slots)
-  | Recv { peer; tag; slots } ->
-      (* reverse of a receive: send the accumulated adjoints back *)
-      let n = Array.length slots in
-      with_temp ctx n (fun p ->
-          Array.iteri (fun i s -> Memory.store p i (VFloat adj.(s))) slots;
-          let req =
-            Mpi_state.isend (mpi ()) ~rank:ctx.Interp.rank ~ptr:p ~count:n
-              ~dst:peer ~tag:(tag + adj_tag_base)
-          in
-          ignore (Mpi_state.wait (mpi ()) ~rank:ctx.Interp.rank ~req))
-  | Allreduce { kind; in_slots; in_vals; out_slots; out_vals } ->
-      let n = Array.length out_slots in
-      with_temp ctx n (fun send_p ->
-          with_temp ctx n (fun recv_p ->
-              Array.iteri
-                (fun i s -> Memory.store send_p i (VFloat adj.(s)))
-                out_slots;
-              Mpi_state.allreduce (mpi ()) ~rank:ctx.Interp.rank
-                ~kind:Mpi_state.Csum ~send:send_p ~recv:recv_p ~count:n;
-              for i = 0 to n - 1 do
-                let w = to_float (Memory.load recv_p i) in
-                match kind with
-                | KSum ->
-                  if in_slots.(i) <> 0 then
-                    adj.(in_slots.(i)) <- adj.(in_slots.(i)) +. w
-                | KMin | KMax ->
-                  if in_slots.(i) <> 0 && in_vals.(i) = out_vals.(i) then
-                    adj.(in_slots.(i)) <- adj.(in_slots.(i)) +. w
-              done))
-  | Bcast { root; in_slots; out_slots } ->
-      let n = Array.length out_slots in
-      with_temp ctx n (fun send_p ->
-          with_temp ctx n (fun recv_p ->
-              Array.iteri
-                (fun i s ->
-                  (* the root's own out adjoints stay local (same slots);
-                     non-roots contribute theirs *)
-                  Memory.store send_p i
-                    (VFloat (if ctx.Interp.rank = root then 0.0 else adj.(s))))
-                out_slots;
-              Mpi_state.allreduce (mpi ()) ~rank:ctx.Interp.rank
-                ~kind:Mpi_state.Csum ~send:send_p ~recv:recv_p ~count:n;
-              if ctx.Interp.rank = root then
-                for i = 0 to n - 1 do
-                  if in_slots.(i) <> 0 then
-                    adj.(in_slots.(i)) <-
-                      adj.(in_slots.(i)) +. to_float (Memory.load recv_p i)
-                done))
-
-(** Interpret the tape backwards, exchanging adjoints over the network in
-    reversed order. Must run inside the same SPMD simulation as the
-    forward sweep (each rank calls this on its own tape). *)
-let reverse sw (ctx : Interp.ctx) =
-  let t = sw.tape in
-  let adj = sw.adj in
-  let cost = Sim.cost () in
-  for k = t.n - 1 downto 0 do
-    Sim.charge cost.Cost_model.tape_reverse;
-    match t.entries.(k) with
-    | Stmt { lhs; args } ->
-      let d = adj.(lhs) in
-      if d <> 0.0 then
-        Array.iter
-          (fun (s, p) -> if s <> 0 then adj.(s) <- adj.(s) +. (d *. p))
-          args
-    | e -> reverse_comm adj ctx e
-  done
-
 (* ---- lowered adjoint program ----
 
    [lower] linearizes the tape once into a structure-of-arrays program:
@@ -282,12 +213,8 @@ let reverse sw (ctx : Interp.ctx) =
    each communication entry stays a program step of its own. The
    reverse sweep over a segment is then a tight loop over unboxed int
    and float arrays — no constructor matching, no per-entry tuple
-   chasing — which is what an engine-compiled reverse sweep executes.
-
-   The lowered sweep charges [tape_reverse] per original entry inside
-   the segment loop, so its makespan is identical (to the last bit) to
-   the entry-interpreting sweep, and the adjoint arithmetic is the same
-   operations in the same order — FNV-identical gradients. *)
+   chasing. It charges [tape_reverse] per original entry, newest
+   first. *)
 
 type lop =
   | LRun of {
@@ -347,88 +274,15 @@ let lower t : lowered =
   (* built newest-first: already the reverse execution order *)
   Array.of_list !ops
 
-(** Run the reverse sweep through the lowered program. Interchangeable
-    with {!reverse}: same adjoints bit for bit, same makespan. *)
-let reverse_lowered sw (ctx : Interp.ctx) =
-  let prog = lower sw.tape in
-  let adj = sw.adj in
-  let cost = Sim.cost () in
-  let c_rev = cost.Cost_model.tape_reverse in
-  Array.iter
-    (function
-      | LComm e ->
-        Sim.charge c_rev;
-        reverse_comm adj ctx e
-      | LRun { count; lhs; off; aslot; ap } ->
-        for r = count - 1 downto 0 do
-          Sim.charge c_rev;
-          let d = Array.unsafe_get adj (Array.unsafe_get lhs r) in
-          if d <> 0.0 then
-            for a = Array.unsafe_get off r to Array.unsafe_get off (r + 1) - 1
-            do
-              let s = Array.unsafe_get aslot a in
-              if s <> 0 then
-                Array.unsafe_set adj s
-                  (Array.unsafe_get adj s +. (d *. Array.unsafe_get ap a))
-            done
-        done)
-    prog
-
-(* ---- batched multi-seed sweeps ----
-
-   One reverse pass propagating [width] independent seed vectors at
-   once through slot-major adjoint planes ([badj.(s * width + lane)]).
-   Each lane's arithmetic is the scalar sweep's, in the scalar sweep's
-   order — lane [l] is bit-identical to a standalone {!reverse} seeded
-   with lane [l]'s seeds — but the tape walk, the partials, and the
-   communication latency are paid once instead of [width] times. Each
-   entry charges one [tape_reverse] regardless of width: the virtual
-   cost model agrees with the host-time amortization. All ranks of an
-   SPMD run must use the same [width]. *)
-
-type bsweep = { btape : t; width : int; badj : float array }
-
-let sweep_batched ~width t =
-  if width < 1 then error "Tape.sweep_batched: width must be >= 1";
-  { btape = t; width; badj = Array.make (t.next_slot * width) 0.0 }
-
-(** Seed lane [lane] with d(loss_lane)/d(current cell values). *)
-let seed_batched bsw ~lane (v : Value.t) (s : float array) =
-  match v with
-  | VPtr { buf; off = 0 } ->
-    let a = buf_slots bsw.btape buf
-    and w = bsw.width in
-    Array.iteri
-      (fun i x ->
-        if a.(i) <> 0 then
-          bsw.badj.((a.(i) * w) + lane) <- bsw.badj.((a.(i) * w) + lane) +. x)
-      s
-  | _ -> error "Tape.seed_batched: need a whole-buffer pointer"
-
-let seed_slot_batched bsw ~lane slot x =
-  if slot <> 0 then
-    bsw.badj.((slot * bsw.width) + lane) <-
-      bsw.badj.((slot * bsw.width) + lane) +. x
-
-(** Lane [lane]'s adjoints of an activated input buffer. *)
-let adjoint_of_batched bsw ~lane (v : Value.t) =
-  match v with
-  | VPtr { buf; off = 0 } -> (
-    match Hashtbl.find_opt bsw.btape.activated buf.bid with
-    | Some slots ->
-      Array.map (fun s -> bsw.badj.((s * bsw.width) + lane)) slots
-    | None -> error "Tape.adjoint_of_batched: buffer was not activated")
-  | _ -> error "Tape.adjoint_of_batched: need a whole-buffer pointer"
-
-(* Reverse one communication entry k-wide: one exchange of [n * width]
-   cells, lane-major within each slot, standing in for [width] scalar
-   exchanges. *)
-let reverse_comm_batched badj width (ctx : Interp.ctx) entry =
+(* Reverse one communication entry: one exchange of [n * w] cells,
+   lane-major within each slot, standing in for [w] width-1 exchanges.
+   [Stmt] entries never reach it. *)
+let reverse_comm adj w (ctx : Interp.ctx) entry =
   let mpi () = mpi_of ctx in
-  let w = width in
   match entry with
   | Stmt _ -> assert false
   | Send { peer; tag; slots } ->
+    (* reverse of a send: receive the adjoint contribution *)
     let n = Array.length slots in
     with_temp ctx (n * w) (fun p ->
         let req =
@@ -440,17 +294,18 @@ let reverse_comm_batched badj width (ctx : Interp.ctx) entry =
           (fun i s ->
             if s <> 0 then
               for l = 0 to w - 1 do
-                badj.((s * w) + l) <-
-                  badj.((s * w) + l) +. to_float (Memory.load p ((i * w) + l))
+                adj.((s * w) + l) <-
+                  adj.((s * w) + l) +. to_float (Memory.load p ((i * w) + l))
               done)
           slots)
   | Recv { peer; tag; slots } ->
+    (* reverse of a receive: send the accumulated adjoints back *)
     let n = Array.length slots in
     with_temp ctx (n * w) (fun p ->
         Array.iteri
           (fun i s ->
             for l = 0 to w - 1 do
-              Memory.store p ((i * w) + l) (VFloat badj.((s * w) + l))
+              Memory.store p ((i * w) + l) (VFloat adj.((s * w) + l))
             done)
           slots;
         let req =
@@ -465,7 +320,7 @@ let reverse_comm_batched badj width (ctx : Interp.ctx) entry =
             Array.iteri
               (fun i s ->
                 for l = 0 to w - 1 do
-                  Memory.store send_p ((i * w) + l) (VFloat badj.((s * w) + l))
+                  Memory.store send_p ((i * w) + l) (VFloat adj.((s * w) + l))
                 done)
               out_slots;
             Mpi_state.allreduce (mpi ()) ~rank:ctx.Interp.rank
@@ -475,15 +330,15 @@ let reverse_comm_batched badj width (ctx : Interp.ctx) entry =
               | KSum ->
                 if in_slots.(i) <> 0 then
                   for l = 0 to w - 1 do
-                    badj.((in_slots.(i) * w) + l) <-
-                      badj.((in_slots.(i) * w) + l)
+                    adj.((in_slots.(i) * w) + l) <-
+                      adj.((in_slots.(i) * w) + l)
                       +. to_float (Memory.load recv_p ((i * w) + l))
                   done
               | KMin | KMax ->
                 if in_slots.(i) <> 0 && in_vals.(i) = out_vals.(i) then
                   for l = 0 to w - 1 do
-                    badj.((in_slots.(i) * w) + l) <-
-                      badj.((in_slots.(i) * w) + l)
+                    adj.((in_slots.(i) * w) + l) <-
+                      adj.((in_slots.(i) * w) + l)
                       +. to_float (Memory.load recv_p ((i * w) + l))
                   done
             done))
@@ -493,11 +348,13 @@ let reverse_comm_batched badj width (ctx : Interp.ctx) entry =
         with_temp ctx (n * w) (fun recv_p ->
             Array.iteri
               (fun i s ->
+                (* the root's own out adjoints stay local (same slots);
+                   non-roots contribute theirs *)
                 for l = 0 to w - 1 do
                   Memory.store send_p ((i * w) + l)
                     (VFloat
                        (if ctx.Interp.rank = root then 0.0
-                        else badj.((s * w) + l)))
+                        else adj.((s * w) + l)))
                 done)
               out_slots;
             Mpi_state.allreduce (mpi ()) ~rank:ctx.Interp.rank
@@ -506,31 +363,33 @@ let reverse_comm_batched badj width (ctx : Interp.ctx) entry =
               for i = 0 to n - 1 do
                 if in_slots.(i) <> 0 then
                   for l = 0 to w - 1 do
-                    badj.((in_slots.(i) * w) + l) <-
-                      badj.((in_slots.(i) * w) + l)
+                    adj.((in_slots.(i) * w) + l) <-
+                      adj.((in_slots.(i) * w) + l)
                       +. to_float (Memory.load recv_p ((i * w) + l))
                   done
               done))
 
-(** One batched reverse sweep through the lowered program: [width]
-    seed vectors for one tape walk. *)
-let reverse_batched bsw (ctx : Interp.ctx) =
-  let prog = lower bsw.btape in
-  let badj = bsw.badj
-  and w = bsw.width in
+(** Run the reverse sweep through the lowered program, exchanging adjoints
+    over the network in reversed order: [width] seed vectors for one tape
+    walk. Must run inside the same SPMD simulation as the forward sweep
+    (each rank calls this on its own tape). *)
+let reverse sw (ctx : Interp.ctx) =
+  let prog = lower sw.tape in
+  let adj = sw.adj
+  and w = sw.width in
   let cost = Sim.cost () in
   let c_rev = cost.Cost_model.tape_reverse in
   Array.iter
     (function
       | LComm e ->
         Sim.charge c_rev;
-        reverse_comm_batched badj w ctx e
+        reverse_comm adj w ctx e
       | LRun { count; lhs; off; aslot; ap } ->
         for r = count - 1 downto 0 do
           Sim.charge c_rev;
           let base = Array.unsafe_get lhs r * w in
           for l = 0 to w - 1 do
-            let d = Array.unsafe_get badj (base + l) in
+            let d = Array.unsafe_get adj (base + l) in
             if d <> 0.0 then
               for
                 a = Array.unsafe_get off r to Array.unsafe_get off (r + 1) - 1
@@ -538,8 +397,8 @@ let reverse_batched bsw (ctx : Interp.ctx) =
                 let s = Array.unsafe_get aslot a in
                 if s <> 0 then begin
                   let j = (s * w) + l in
-                  Array.unsafe_set badj j
-                    (Array.unsafe_get badj j +. (d *. Array.unsafe_get ap a))
+                  Array.unsafe_set adj j
+                    (Array.unsafe_get adj j +. (d *. Array.unsafe_get ap a))
                 end
               done
           done

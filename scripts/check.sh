@@ -330,6 +330,26 @@ grep -q "deadline exceeded" /tmp/parad-check.out || {
 expect_exit 124 grad --flavor seq --deadline-ms 0
 expect_exit 0 grad --flavor seq --size 2 --iters 1 --deadline-cycles 1000000000
 
+# ---- one gradient body: --seeds 1 is the plain gradient ----
+# The plain and the seeded CLI paths share the k-wide body; at one lane
+# they must print the same cycle counts and adjoints.
+
+expect_exit 0 grad --flavor omp --size 2 --iters 2
+grep -E "gradient [0-9]+ cycles|d total / d e" /tmp/parad-check.out \
+  > /tmp/parad-plain.out
+expect_exit 0 grad --flavor omp --size 2 --iters 2 --seeds 1
+grep -E "gradient [0-9]+ cycles|d total / d e" /tmp/parad-check.out \
+  > /tmp/parad-seeds1.out
+[ "$(wc -l < /tmp/parad-plain.out)" -eq 2 ] || {
+  echo "FAIL: plain grad printed no cycle or adjoint line"
+  exit 1
+}
+cmp -s /tmp/parad-plain.out /tmp/parad-seeds1.out || {
+  echo "FAIL: grad --seeds 1 differs from the plain gradient"
+  diff /tmp/parad-plain.out /tmp/parad-seeds1.out
+  exit 1
+}
+
 # ---- gradient-service smoke (serve --stdin) ----
 # A mixed batch through the real request path: every line, valid or
 # hostile, must come back classified, and the warm repeat must carry

@@ -103,9 +103,18 @@ let test_mpi_rejected () =
 
 let test_seed_count_checked () =
   let c = batched_plan L.Seq in
-  match L.gradient_batched c ~d_rets:[| 1.0 |] tiny with
+  (match L.gradient_batched c ~d_rets:[| 1.0 |] tiny with
   | _ -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument _ -> ()
+  | exception Invalid_argument _ -> ());
+  (* the scalar entry points are the 1-lane view of the same body: on a
+     2-lane plan they fail up front on the lane count *)
+  let opts = { Plan.default_options with seeds = 2 } in
+  let msg = "gradient_batched: 1 seed values for a 2-lane plan" in
+  Alcotest.check_raises "lulesh scalar entry" (Invalid_argument msg) (fun () ->
+      ignore (L.gradient_compiled (L.compile ~opts L.Seq) tiny));
+  Alcotest.check_raises "minibude scalar entry" (Invalid_argument msg)
+    (fun () ->
+      ignore (MB.gradient_compiled (MB.compile ~opts ~ntasks:1 MB.Seq) small))
 
 let () =
   Alcotest.run "batch"

@@ -302,76 +302,180 @@ let test_taped_fault_plan_identical () =
     "retries actually injected" true
     (re.GC.s_stats.Stats.send_retries > 0)
 
-let test_lowered_sweep_identical () =
-  let serial = serial_prog () in
-  let args = [ GC.ABuf input; GC.AInt 4 ] in
-  let seeds = [ Array.make 4 0.0 ] in
-  let ri, _ = TC.reverse serial "k" args ~seeds in
-  let rl, _ = TC.reverse ~lowered:true serial "k" args ~seeds in
-  check_bits_arr "serial adjoint bits" (List.hd ri.GC.d_bufs)
-    (List.hd rl.GC.d_bufs);
-  Alcotest.(check (float 0.0)) "serial makespan" ri.GC.makespan rl.GC.makespan;
-  let ring = ring_prog () in
-  let nranks = 4 in
-  let n = 3 in
-  let rargs ~rank =
-    [ GC.ABuf (Array.init n (fun i -> 0.2 +. (0.3 *. float_of_int (rank + i)))); GC.AInt n ]
-  in
-  let rseeds ~rank:_ = [ Array.make n 0.0 ] in
-  let d_ret ~rank = if rank = 0 then 1.0 else 0.0 in
-  let si, _ =
-    TC.reverse_spmd ring "ring" ~nranks ~args:rargs ~seeds:rseeds ~d_ret
-  in
-  let sl, _ =
-    TC.reverse_spmd ~lowered:true ring "ring" ~nranks ~args:rargs
-      ~seeds:rseeds ~d_ret
-  in
-  for r = 0 to nranks - 1 do
-    check_bits_arr
-      (Printf.sprintf "rank %d adjoint bits" r)
-      (List.hd si.GC.s_d_bufs.(r))
-      (List.hd sl.GC.s_d_bufs.(r))
-  done;
-  Alcotest.(check (float 0.0)) "ring makespan" si.GC.s_makespan sl.GC.s_makespan
+(* ---- golden tape baseline: adjoint digests and makespans, pinned.
+   Each line of tape.digests is "<label>\t<fnv>\t<makespan>", the FNV-1a
+   digest (the service's) over the bit patterns of every rank's input
+   adjoints, rank-major, and the virtual makespan in %h notation. The
+   file was recorded with an independent entry-at-a-time scalar sweep; a
+   change meant to alter the tape's bits or costs re-records it from the
+   lines the failing check prints. The runs are the serial kernel, the
+   4-rank ring (also under drop-retry faults) and the LULESH-MPI and
+   miniBUDE tape baselines of the verification figure. ---- *)
 
-let test_batched_sweep_lanes_identical () =
-  (* one k-wide sweep; every lane must be bit-identical to a standalone
-     scalar sweep with that lane's seed *)
+module L = Apps_lulesh.Lulesh
+module MB = Apps_minibude.Minibude
+module S = Parad_server.Service
+
+let tiny_lulesh =
+  { L.nx = 2; ny = 2; nz = 4; niter = 3; dt0 = 0.01; escale = 1.0 }
+
+let lulesh_args (inp : L.input) ~nranks ~rank =
+  let m = L.mesh inp ~nranks ~rank in
+  [
+    GC.ABuf m.L.coords.(0); GC.ABuf m.L.coords.(1); GC.ABuf m.L.coords.(2);
+    GC.ABuf m.L.vels.(0); GC.ABuf m.L.vels.(1); GC.ABuf m.L.vels.(2);
+    GC.ABuf m.L.energy; GC.AIntBuf m.L.conn; GC.ABuf m.L.node_mass;
+    GC.AInt inp.L.nx; GC.AInt inp.L.ny; GC.AInt m.L.nzl;
+    GC.AInt inp.L.niter; GC.AScalar inp.L.dt0;
+  ]
+
+let lulesh_zero_seeds (inp : L.input) ~nranks ~rank =
+  let m = L.mesh inp ~nranks ~rank in
+  let nn = Array.length m.L.node_mass and ne = Array.length m.L.energy in
+  List.map (fun len -> Array.make len 0.0) [ nn; nn; nn; nn; nn; nn; ne; nn ]
+
+let golden_line label (g : GC.spmd_gradient) =
+  let h =
+    Array.fold_left
+      (fun h bufs -> List.fold_left S.digest_floats h bufs)
+      S.fnv_init g.GC.s_d_bufs
+  in
+  Printf.sprintf "%s\t%016Lx\t%h" label h g.GC.s_makespan
+
+let golden_runs () =
+  (* every run seeds rank 0's return with 1 *)
+  let run ?faults prog fname ~nranks ~args ~seeds () =
+    fst
+      (TC.reverse_spmd
+         ?faults:(Option.map (Faults.plan_of_name ~nranks) faults)
+         prog fname ~nranks ~args ~seeds
+         ~d_ret:(fun ~rank -> if rank = 0 then 1.0 else 0.0))
+  in
+  let ring ?faults () =
+    let n = 3 in
+    run ?faults (ring_prog ()) "ring" ~nranks:4
+      ~args:(fun ~rank ->
+        [
+          GC.ABuf (Array.init n (fun i -> 0.2 +. (0.3 *. float_of_int (rank + i))));
+          GC.AInt n;
+        ])
+      ~seeds:(fun ~rank:_ -> [ Array.make n 0.0 ])
+      ()
+  in
+  let lulesh nranks =
+    run (L.program L.Mpi) "lulesh_mpi" ~nranks
+      ~args:(fun ~rank -> lulesh_args tiny_lulesh ~nranks ~rank)
+      ~seeds:(fun ~rank -> lulesh_zero_seeds tiny_lulesh ~nranks ~rank)
+  in
+  let deck = MB.deck ~nposes:6 ~natlig:4 ~natpro:5 in
+  let bude_args =
+    [
+      GC.AHidden deck.MB.lig_data; GC.AHidden deck.MB.pro_data;
+      GC.AHidden deck.MB.pose_data; GC.ATable [ 0; 1; 2 ];
+      GC.ABuf (Array.make deck.MB.nposes 0.0); GC.AInt deck.MB.natlig;
+      GC.AInt deck.MB.natpro; GC.AInt deck.MB.nposes;
+    ]
+  and bude_seeds =
+    [
+      Array.make (Array.length deck.MB.lig_data) 0.0;
+      Array.make (Array.length deck.MB.pro_data) 0.0;
+      Array.make (Array.length deck.MB.pose_data) 0.0;
+      Array.make deck.MB.nposes 1.0;
+    ]
+  in
+  [
+    ( "k serial",
+      run (serial_prog ()) "k" ~nranks:1
+        ~args:(fun ~rank:_ -> [ GC.ABuf input; GC.AInt 4 ])
+        ~seeds:(fun ~rank:_ -> [ Array.make 4 0.0 ]) );
+    "ring 4 ranks", ring ?faults:None;
+    "ring 4 ranks drop-retry", ring ~faults:"drop-retry";
+    "lulesh_mpi 1 rank", lulesh 1;
+    "lulesh_mpi 2 ranks", lulesh 2;
+    ( "bude_seq",
+      run (MB.program ()) "bude_seq" ~nranks:1
+        ~args:(fun ~rank:_ -> bude_args)
+        ~seeds:(fun ~rank:_ -> bude_seeds) );
+  ]
+
+let test_tape_golden () =
+  let got = List.map (fun (label, run) -> golden_line label (run ())) (golden_runs ()) in
+  let expected =
+    In_channel.with_open_text "tape.digests" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  Alcotest.(check (list string)) "tape adjoint digests and makespans" expected got
+
+(* One k-wide sweep over an SPMD run: [seeds ~rank ~lane] seeds the
+   buffers and [d_ret ~rank ~lane] the return value of lane [lane];
+   returns each rank's per-lane input adjoints. *)
+let sweep_lanes ~width prog fname ~nranks ~args ~seeds ~d_ret =
   let module Tape = Parad_tape.Tape in
-  let prog = serial_prog () in
-  let width = 3 in
-  let d_rets = [| 1.0; -2.5; 0.125 |] in
-  let scalar = Array.make width [||] in
-  let batched = Array.make width [||] in
-  let tape = Tape.create ~rank:0 in
+  let tapes = Array.init nranks (fun rank -> Tape.create ~rank) in
+  let grads = Array.make_matrix nranks width [] in
   ignore
-    (Exec.run_spmd_custom prog ~nranks:1
-       ~instrument:(fun ~rank:_ -> Tape.instrument tape)
-       ~body:(fun ctx ~rank:_ ->
-         let t = tape in
-         let vals, bufs = GC.build_args ctx [ GC.ABuf input; GC.AInt 4 ] in
+    (Exec.run_spmd_custom prog ~nranks
+       ~instrument:(fun ~rank -> Tape.instrument tapes.(rank))
+       ~body:(fun ctx ~rank ->
+         let t = tapes.(rank) in
+         let vals, bufs = GC.build_args ctx (args ~rank) in
          List.iter (Tape.activate t) bufs;
          let _, ret_slot =
-           Interp.call_with_slots ctx "k" vals
-             (List.map (fun _ -> 0) vals)
+           Interp.call_with_slots ctx fname vals (List.map (fun _ -> 0) vals)
          in
-         for l = 0 to width - 1 do
-           let sw = Tape.sweep t in
-           Tape.seed_slot sw ret_slot d_rets.(l);
-           Tape.reverse sw ctx;
-           scalar.(l) <- Tape.adjoint_of sw (List.hd bufs)
+         let sw = Tape.sweep ~width t in
+         for lane = 0 to width - 1 do
+           List.iter2 (Tape.seed sw ~lane) bufs (seeds ~rank ~lane);
+           Tape.seed_slot sw ~lane ret_slot (d_ret ~rank ~lane)
          done;
-         let bsw = Tape.sweep_batched ~width t in
-         for l = 0 to width - 1 do
-           Tape.seed_slot_batched bsw ~lane:l ret_slot d_rets.(l)
-         done;
-         Tape.reverse_batched bsw ctx;
-         for l = 0 to width - 1 do
-           batched.(l) <- Tape.adjoint_of_batched bsw ~lane:l (List.hd bufs)
+         Tape.reverse sw ctx;
+         for lane = 0 to width - 1 do
+           grads.(rank).(lane) <- List.map (Tape.adjoint_of sw ~lane) bufs
          done));
-  for l = 0 to width - 1 do
-    check_bits_arr (Printf.sprintf "lane %d" l) scalar.(l) batched.(l)
+  grads
+
+(* every lane of a k-wide sweep must be bit-identical to a width-1 sweep
+   (what Tape_check runs) seeded with that lane's seeds *)
+let check_lanes_identical ~width prog fname ~nranks ~args ~seeds ~d_ret =
+  let wide = sweep_lanes ~width prog fname ~nranks ~args ~seeds ~d_ret in
+  for lane = 0 to width - 1 do
+    let one, _ =
+      TC.reverse_spmd prog fname ~nranks ~args
+        ~seeds:(fun ~rank -> seeds ~rank ~lane)
+        ~d_ret:(fun ~rank -> d_ret ~rank ~lane)
+    in
+    for r = 0 to nranks - 1 do
+      List.iter2
+        (check_bits_arr (Printf.sprintf "rank %d lane %d" r lane))
+        one.GC.s_d_bufs.(r) wide.(r).(lane)
+    done
   done
+
+let test_wide_sweep_lanes_identical () =
+  let d_rets = [| 1.0; -2.5; 0.125 |] in
+  check_lanes_identical ~width:3 (serial_prog ()) "k" ~nranks:1
+    ~args:(fun ~rank:_ -> [ GC.ABuf input; GC.AInt 4 ])
+    ~seeds:(fun ~rank:_ ~lane:_ -> [ Array.make 4 0.0 ])
+    ~d_ret:(fun ~rank:_ ~lane -> d_rets.(lane))
+
+let test_wide_sweep_ring_lanes_identical () =
+  (* k-wide Send/Recv/Allreduce reversal: each lane seeds every rank's
+     return and its buffer with distinct values *)
+  let n = 3 in
+  check_lanes_identical ~width:3 (ring_prog ()) "ring" ~nranks:4
+    ~args:(fun ~rank ->
+      [
+        GC.ABuf (Array.init n (fun i -> 0.2 +. (0.3 *. float_of_int (rank + i))));
+        GC.AInt n;
+      ])
+    ~seeds:(fun ~rank ~lane ->
+      [
+        Array.init n (fun i ->
+            0.1 *. float_of_int (lane + 1) *. float_of_int (i - rank));
+      ])
+    ~d_ret:(fun ~rank ~lane ->
+      (1.0 +. float_of_int lane) *. (if rank = 0 then 1.0 else -0.5))
 
 let () =
   Alcotest.run "tape"
@@ -406,9 +510,10 @@ let () =
         ] );
       ( "lowered",
         [
-          Alcotest.test_case "lowered sweep identical" `Quick
-            test_lowered_sweep_identical;
+          Alcotest.test_case "golden digests" `Quick test_tape_golden;
           Alcotest.test_case "batched lanes identical" `Quick
-            test_batched_sweep_lanes_identical;
+            test_wide_sweep_lanes_identical;
+          Alcotest.test_case "batched ring lanes identical" `Quick
+            test_wide_sweep_ring_lanes_identical;
         ] );
     ]
