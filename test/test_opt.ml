@@ -217,6 +217,267 @@ let test_inline () =
   in
   Alcotest.check feq "x^4" 16.0 (Value.to_float res.Exec.values.(0))
 
+(* ---- mem_forward, one mechanism at a time ---- *)
+
+(* the program after one mem_forward run on [name], and the new [name] *)
+let mem_forward prog name =
+  let opt = Pipe.run_on prog name [ Pipe.mem_forward ] in
+  opt, Prog.find_exn opt name
+
+let accesses pred p (f : Func.t) =
+  count_kind
+    (fun i ->
+      match i with
+      | Instr.Load (_, q, _) | Instr.Store (q, _, _) ->
+        pred i && Var.id q = Var.id p
+      | _ -> false)
+    f
+
+let loads_of = accesses is_load
+let stores_of = accesses (function Instr.Store _ -> true | _ -> false)
+
+(* the value [fname] returns on scalar arguments, before and after *)
+let same_result prog opt fname args =
+  let run p =
+    Value.to_float
+      (Exec.run p ~fname ~setup:(fun _ -> args)).Exec.values.(0)
+  in
+  Alcotest.check feq (fname ^ " value preserved") (run prog) (run opt)
+
+let test_mf_forwards_store_to_load () =
+  let prog = Prog.create () in
+  let b, ps = B.func prog "fw" ~params:[ "x", Ty.Float ] ~ret:Ty.Float in
+  let x = List.hd ps in
+  let a = B.alloc b ~kind:Instr.Stack Ty.Float (B.i64 b 4) in
+  B.store b a (B.i64 b 1) (B.mul b x x);
+  let y = B.load b a (B.i64 b 1) in
+  B.return b (Some (B.add b y x));
+  ignore (B.finish b);
+  let opt, f = mem_forward prog "fw" in
+  Alcotest.(check int) "load forwarded" 0 (loads_of a f);
+  same_result prog opt "fw" [ Value.VFloat 3.0 ]
+
+let test_mf_deletes_dead_stores () =
+  let prog = Prog.create () in
+  (* overwritten before any read: the first store is dead *)
+  let b, ps = B.func prog "ow" ~params:[ "x", Ty.Float ] ~ret:Ty.Float in
+  let x = List.hd ps in
+  let a = B.alloc b ~kind:Instr.Stack Ty.Float (B.i64 b 2) in
+  B.store b a (B.i64 b 0) x;
+  B.store b a (B.i64 b 0) (B.mul b x x);
+  B.return b (Some (B.load b a (B.i64 b 0)));
+  ignore (B.finish b);
+  let opt, f = mem_forward prog "ow" in
+  Alcotest.(check int) "overwritten store deleted" 1 (stores_of a f);
+  Alcotest.(check int) "load forwarded" 0 (loads_of a f);
+  same_result prog opt "ow" [ Value.VFloat 3.0 ];
+  (* freed before any read: both stores are dead *)
+  let b, ps = B.func prog "fr" ~params:[ "x", Ty.Float ] ~ret:Ty.Float in
+  let x = List.hd ps in
+  let a = B.alloc b Ty.Float (B.i64 b 2) in
+  B.store b a (B.i64 b 0) x;
+  B.store b a (B.i64 b 1) x;
+  B.free b a;
+  B.return b (Some x);
+  ignore (B.finish b);
+  Alcotest.(check int) "freed stores deleted" 0
+    (stores_of a (snd (mem_forward prog "fr")))
+
+let test_mf_zero_fill_load () =
+  let prog = Prog.create () in
+  let b, ps = B.func prog "zf" ~params:[ "x", Ty.Float ] ~ret:Ty.Float in
+  let x = List.hd ps in
+  let a = B.alloc b ~kind:Instr.Stack Ty.Float (B.i64 b 4) in
+  let y = B.load b a (B.i64 b 2) in
+  B.return b (Some (B.add b y x));
+  ignore (B.finish b);
+  let _, f = mem_forward prog "zf" in
+  Alcotest.(check int) "no load left" 0 (loads_of a f);
+  Alcotest.(check int) "the load became const 0.0" 1
+    (count_kind
+       (function
+         | Instr.Const (v, Instr.Cfloat z) ->
+           Var.id v = Var.id y && Int64.equal (Int64.bits_of_float z) 0L
+         | _ -> false)
+       f)
+
+let test_mf_unknown_index_kills_base () =
+  let prog = Prog.create () in
+  let b, ps =
+    B.func prog "uk" ~params:[ "x", Ty.Float; "n", Ty.Int ] ~ret:Ty.Float
+  in
+  let x, n = match ps with [ x; n ] -> x, n | _ -> assert false in
+  let a = B.alloc b ~kind:Instr.Stack Ty.Float (B.i64 b 4) in
+  B.store b a (B.i64 b 0) x;
+  B.store b a n (B.mul b x x);
+  B.return b (Some (B.load b a (B.i64 b 0)));
+  ignore (B.finish b);
+  let opt, f = mem_forward prog "uk" in
+  Alcotest.(check int) "load kept" 1 (loads_of a f);
+  Alcotest.(check int) "both stores kept" 2 (stores_of a f);
+  List.iter
+    (fun n -> same_result prog opt "uk" [ Value.VFloat 3.0; Value.VInt n ])
+    [ 0; 1 ]
+
+let test_mf_barrier_kills_shared_only () =
+  let prog = Prog.create () in
+  let b, ps =
+    B.func prog "br" ~params:[ "out", Ty.Ptr Ty.Float ] ~ret:Ty.Unit
+  in
+  let out = List.hd ps in
+  let shared = B.alloc b ~kind:Instr.Stack Ty.Float (B.i64 b 1) in
+  let priv = ref shared in
+  B.fork b ~nth:(B.i64 b 2) (fun ~tid ~nth:_ ->
+      let p = B.alloc b ~kind:Instr.Stack Ty.Float (B.i64 b 1) in
+      priv := p;
+      B.store b p (B.i64 b 0) (B.f64 b 1.0);
+      B.store b shared (B.i64 b 0) (B.f64 b 2.0);
+      B.barrier b;
+      let lp = B.load b p (B.i64 b 0) in
+      let ls = B.load b shared (B.i64 b 0) in
+      B.store b out tid (B.add b lp ls));
+  B.return b None;
+  ignore (B.finish b);
+  let opt, f = mem_forward prog "br" in
+  Alcotest.(check int) "private cell forwarded across the barrier" 0
+    (loads_of !priv f);
+  Alcotest.(check int) "shared cell reloaded after the barrier" 1
+    (loads_of shared f);
+  let run p =
+    let o = ref Value.VUnit in
+    ignore
+      (Exec.run
+         ~cfg:{ Interp.default_config with nthreads = 2 }
+         p ~fname:"br"
+         ~setup:(fun ctx ->
+           o := Exec.zeros ctx 2;
+           [ !o ]));
+    Exec.to_floats !o
+  in
+  Array.iter2 (Alcotest.check feq "same") (run prog) (run opt)
+
+let test_mf_reseeds_accumulate_then_zero () =
+  let prog = Prog.create () in
+  let b, ps =
+    B.func prog "az"
+      ~params:[ "x", Ty.Ptr Ty.Float; "out", Ty.Ptr Ty.Float; "n", Ty.Int ]
+      ~ret:Ty.Unit
+  in
+  let x, out, n = match ps with [ a; b; c ] -> a, b, c | _ -> assert false in
+  let acc = B.alloc b ~kind:Instr.Stack Ty.Float (B.i64 b 1) in
+  B.for_n b n (fun i ->
+      let zero = B.i64 b 0 in
+      B.store b acc zero (B.add b (B.load b acc zero) (B.load b x i));
+      B.store b out i (B.load b acc zero);
+      B.store b acc zero (B.f64 b 0.0));
+  B.return b None;
+  ignore (B.finish b);
+  let opt, f = mem_forward prog "az" in
+  Alcotest.(check int) "both loads gone: the cell is 0 at every entry" 0
+    (loads_of acc f);
+  let run p =
+    let o = ref Value.VUnit in
+    ignore
+      (Exec.run p ~fname:"az" ~setup:(fun ctx ->
+           o := Exec.zeros ctx 3;
+           [ Exec.floats ctx [| 1.5; -2.0; 4.0 |]; !o; Value.VInt 3 ]));
+    Exec.to_floats !o
+  in
+  Array.iter2 (Alcotest.check feq "same") (run prog) (run opt)
+
+let test_mf_if_phis_in_key_order () =
+  let prog = Prog.create () in
+  let b, ps =
+    B.func prog "ph" ~params:[ "x", Ty.Float; "y", Ty.Float ] ~ret:Ty.Float
+  in
+  let x, y = match ps with [ x; y ] -> x, y | _ -> assert false in
+  let a = B.alloc b ~kind:Instr.Stack Ty.Float (B.i64 b 4) in
+  let c = B.alloc b ~kind:Instr.Stack Ty.Float (B.i64 b 4) in
+  let cells = [ c, 0; a, 3; a, 1 ] in
+  (* each branch writes the cells in reverse key order, all values
+     distinct, so every cell needs a phi of its own *)
+  let side vals () =
+    List.iter2 (fun (p, k) v -> B.store b p (B.i64 b k) v) cells (vals ());
+    []
+  in
+  let then_vals = ref [] and else_vals = ref [] in
+  ignore
+    (B.if_ b (B.lt b x y)
+       ~then_:
+         (side (fun () ->
+              then_vals := [ x; y; B.add b x y ];
+              !then_vals))
+       ~else_:
+         (side (fun () ->
+              else_vals := [ y; x; B.mul b x y ];
+              !else_vals)));
+  let sum =
+    List.fold_left
+      (fun acc (p, k) -> B.add b acc (B.load b p (B.i64 b k)))
+      (B.f64 b 0.0) cells
+  in
+  B.return b (Some sum);
+  ignore (B.finish b);
+  let opt, f = mem_forward prog "ph" in
+  let yields (r : Instr.region) =
+    match List.rev r.Instr.body with
+    | Instr.Yield vs :: _ -> List.map Var.id vs
+    | _ -> []
+  in
+  let ifs =
+    List.filter_map
+      (function Instr.If (rs, _, t, e) -> Some (rs, t, e) | _ -> None)
+      f.body
+  in
+  (match ifs with
+  | [ (rs, t, e) ] ->
+    (* ascending (base, index): (a,1), (a,3), (c,0) *)
+    let in_key_order vals = List.map Var.id (List.rev vals) in
+    Alcotest.(check int) "one phi per cell" 3 (List.length rs);
+    Alcotest.(check (list int))
+      "then yields" (in_key_order !then_vals) (yields t);
+    Alcotest.(check (list int))
+      "else yields" (in_key_order !else_vals) (yields e)
+  | _ -> Alcotest.fail "expected one If");
+  List.iter
+    (fun (vx, vy) ->
+      same_result prog opt "ph" [ Value.VFloat vx; Value.VFloat vy ])
+    [ 1.0, 2.0; 3.0, -1.0 ]
+
+(* A constant index outside the packable range [0, 2^31) must not alias
+   any other cell: the load at [k] never sees the value stored there. *)
+let test_mf_unpackable_index () =
+  let prog = Prog.create () in
+  let b, ps =
+    B.func prog "pk" ~params:[ "x", Ty.Float; "y", Ty.Float ] ~ret:Ty.Float
+  in
+  let x, y = match ps with [ x; y ] -> x, y | _ -> assert false in
+  let a0 = B.alloc b ~kind:Instr.Stack Ty.Float (B.i64 b 4) in
+  let a1 = B.alloc b ~kind:Instr.Stack Ty.Float (B.i64 b 4) in
+  let k = 1 in
+  (* 2^31 + k, on a base of each parity *)
+  let far =
+    List.map
+      (fun p ->
+        B.store b p (B.i64 b k) x;
+        B.store b p (B.i64 b ((1 lsl 31) + k)) y;
+        B.load b p (B.i64 b k))
+      [ a0; a1 ]
+  in
+  (* -1 on one base, then -1 and k on another *)
+  B.store b a0 (B.i64 b (-1)) y;
+  let neg = [ B.load b a1 (B.i64 b (-1)); B.load b a0 (B.i64 b k) ] in
+  B.return b (Some (List.fold_left (B.add b) x (far @ neg)));
+  ignore (B.finish b);
+  (* only the loads feed the sum: none of them may become [y] *)
+  Alcotest.(check int) "y never forwarded" 0
+    (count_kind
+       (function
+         | Instr.Bin (_, Instr.Add, a, b') ->
+           Var.id a = Var.id y || Var.id b' = Var.id y
+         | _ -> false)
+       (snd (mem_forward prog "pk")))
+
 (* ---- property tests: random programs keep semantics under O2 ---- *)
 
 (* A tiny generator of well-formed float kernels over (x : f64*, n=8). *)
@@ -305,6 +566,104 @@ let prop_gradient_survives_o2 =
         (fun a b -> Float.abs (a -. b) <= 1e-8 *. Float.max 1.0 (Float.abs a))
         ga gb)
 
+(* ---- random programs over two local buffers keep their exact result
+   under mem_forward: constant-index stores, loads and atomic adds,
+   stores at an unknown index, and all of them inside Ifs and loops ---- *)
+
+type mop =
+  | MStore of int * int * int (* buffer, index, addend *)
+  | MLoad of int * int
+  | MStoreAt of int (* buffer, at an index only known at run time *)
+  | MAtomic of int * int (* buffer, index *)
+  | MIf of mop list * mop list
+  | MLoop of mop list
+
+let gen_mops =
+  QCheck.Gen.(
+    let op =
+      fix (fun self depth ->
+           let leaf =
+             [
+               ( 4,
+                 map3
+                   (fun b k x -> MStore (b, k, x))
+                   (int_bound 1) (int_bound 3) (int_bound 3) );
+               4, map2 (fun b k -> MLoad (b, k)) (int_bound 1) (int_bound 3);
+               1, map (fun b -> MStoreAt b) (int_bound 1);
+               1, map2 (fun b k -> MAtomic (b, k)) (int_bound 1) (int_bound 3);
+             ]
+           in
+           let body = list_size (int_range 1 6) (self (depth - 1)) in
+           if depth <= 1 then frequency leaf
+           else
+             frequency
+               (leaf
+               @ [
+                   2, map2 (fun t e -> MIf (t, e)) body body;
+                   2, map (fun l -> MLoop l) body;
+                 ]))
+    in
+    int_range 1 4 >>= fun depth -> list_size (int_range 1 8) (op depth))
+
+let build_mem_prog mops =
+  let prog = Prog.create () in
+  let b, ps =
+    B.func prog "mem"
+      ~params:[ "x", Ty.Ptr Ty.Float; "n", Ty.Int ]
+      ~ret:Ty.Float
+  in
+  let x, n = match ps with [ x; n ] -> x, n | _ -> assert false in
+  let bufs =
+    Array.init 2 (fun _ -> B.alloc b ~kind:Instr.Stack Ty.Float (B.i64 b 4))
+  in
+  (* values in scope, newest first; inner scopes restore it on exit *)
+  let stack = ref [ B.load b x (B.i64 b 0) ] in
+  let rec emit_ops unknown ops =
+    List.iter
+      (fun op ->
+        match op with
+        | MStore (k, i, v) ->
+          B.store b bufs.(k) (B.i64 b i)
+            (B.add b (List.hd !stack) (B.f64 b (float v)))
+        | MLoad (k, i) -> stack := B.load b bufs.(k) (B.i64 b i) :: !stack
+        | MStoreAt k -> B.store b bufs.(k) (unknown ()) (List.hd !stack)
+        | MAtomic (k, i) -> B.atomic_add b bufs.(k) (B.i64 b i) (List.hd !stack)
+        | MIf (t, e) ->
+          let saved = !stack in
+          let side ops () = emit_ops unknown ops; stack := saved in
+          B.ite b (B.lt b (List.hd saved) (B.f64 b 1.0)) (side t) (side e)
+        | MLoop body ->
+          let saved = !stack in
+          B.for_n b n (fun i ->
+              emit_ops (fun () -> B.rem b i (B.i64 b 4)) body;
+              stack := saved))
+      ops
+  in
+  emit_ops (fun () -> B.rem b n (B.i64 b 4)) mops;
+  let cells =
+    List.concat_map
+      (fun k -> List.init 4 (fun i -> B.load b bufs.(k) (B.i64 b i)))
+      [ 0; 1 ]
+  in
+  B.return b (Some (List.fold_left (B.add b) (B.f64 b 0.0) (cells @ !stack)));
+  ignore (B.finish b);
+  prog
+
+let prop_mem_forward_exact =
+  QCheck.Test.make ~name:"mem_forward keeps the exact result" ~count:200
+    (QCheck.make gen_mops) (fun mops ->
+      let prog = build_mem_prog mops in
+      let opt = Pipe.run_on prog "mem" [ Pipe.mem_forward ] in
+      let eval p n =
+        (Exec.run p ~fname:"mem" ~setup:(fun ctx ->
+             [ Exec.floats ctx input; Value.VInt n ]))
+          .Exec.values.(0)
+        |> Value.to_float |> Int64.bits_of_float
+      in
+      List.for_all
+        (fun n -> Int64.equal (eval prog n) (eval opt n))
+        [ 0; 1; 3 ])
+
 (* ---- pipeline idempotence + verifier cleanliness over the bundled
    applications: o2 on every primal, post_ad on every generated
    gradient, old passes and new (mem_forward v2, openmp_opt) alike.
@@ -381,6 +740,26 @@ let test_lulesh_grad_bit_identical () =
     (fun r xs -> bits_equal (Printf.sprintf "d_energy.%d" r) xs g_raw.L.d_energy.(r))
     g_opt.L.d_energy
 
+(* the flavors whose post_ad output the canonical phi order renumbered *)
+let test_lulesh_mpi_grad_bit_identical () =
+  let inp = { L.nx = 3; ny = 3; nz = 8; niter = 2; dt0 = 0.01; escale = 1.0 } in
+  List.iter
+    (fun (fl, nthreads) ->
+      let name = L.flavor_name fl in
+      let g_opt = L.gradient ~nthreads ~nranks:2 fl inp in
+      let g_raw = L.gradient ~nthreads ~nranks:2 ~post_opt:false fl inp in
+      Array.iteri
+        (fun a xs ->
+          bits_equal (Printf.sprintf "%s d_coords.%d" name a) xs
+            g_raw.L.d_coords.(a))
+        g_opt.L.d_coords;
+      Array.iteri
+        (fun r xs ->
+          bits_equal (Printf.sprintf "%s d_energy.%d" name r) xs
+            g_raw.L.d_energy.(r))
+        g_opt.L.d_energy)
+    [ L.Mpi, 1; L.Hybrid, 2; L.Jlmpi, 1 ]
+
 let test_bude_grad_bit_identical () =
   let deck = MB.deck ~nposes:16 ~natlig:6 ~natpro:8 in
   let g_opt = MB.gradient ~nthreads:8 MB.Omp deck in
@@ -455,15 +834,22 @@ let test_post_ad_golden () =
    a third of what the quadratic passes allocated on this gradient
    (12,722,100 words). ---- *)
 
-let test_post_ad_alloc_bound () =
-  let dprog, _ = Parad_core.Reverse.gradient (L.program L.Omp) (L.flavor_name L.Omp) in
+let post_ad_alloc_bound fl bound () =
+  let dprog, _ =
+    Parad_core.Reverse.gradient (L.program fl) (L.flavor_name fl)
+  in
   ignore (Pipe.run dprog Pipe.post_ad);
   let before = Gc.minor_words () in
   ignore (Sys.opaque_identity (Pipe.run dprog Pipe.post_ad));
   let words = Gc.minor_words () -. before in
-  if words > 4_240_700. then
-    Alcotest.failf "post_ad on lulesh_omp allocated %.0f minor words (bound 4240700)"
-      words
+  if words > bound then
+    Alcotest.failf "post_ad on %s allocated %.0f minor words (bound %.0f)"
+      (L.flavor_name fl) words bound
+
+(* The lulesh_mpi bound is what post_ad allocated before mem_forward ran
+   on one trail-undone state (2,721,241 words). *)
+let test_post_ad_alloc_bound = post_ad_alloc_bound L.Omp 4_240_700.
+let test_post_ad_alloc_bound_mpi = post_ad_alloc_bound L.Mpi 2_721_241.
 
 (* ---- cse keys: which constants count as the same expression ---- *)
 
@@ -507,6 +893,22 @@ let () =
           Alcotest.test_case "inline" `Quick test_inline;
           Alcotest.test_case "cse float constant keys" `Quick
             test_cse_float_keys;
+          Alcotest.test_case "mem_forward store to load" `Quick
+            test_mf_forwards_store_to_load;
+          Alcotest.test_case "mem_forward dead stores" `Quick
+            test_mf_deletes_dead_stores;
+          Alcotest.test_case "mem_forward zero-fill load" `Quick
+            test_mf_zero_fill_load;
+          Alcotest.test_case "mem_forward unknown index kills base" `Quick
+            test_mf_unknown_index_kills_base;
+          Alcotest.test_case "mem_forward barrier" `Quick
+            test_mf_barrier_kills_shared_only;
+          Alcotest.test_case "mem_forward loop re-seeding" `Quick
+            test_mf_reseeds_accumulate_then_zero;
+          Alcotest.test_case "mem_forward If phis in key order" `Quick
+            test_mf_if_phis_in_key_order;
+          Alcotest.test_case "mem_forward unpackable index" `Quick
+            test_mf_unpackable_index;
         ] );
       ( "pipelines",
         [
@@ -515,16 +917,22 @@ let () =
             test_post_ad_idempotent;
           Alcotest.test_case "lulesh gradient bit-identical under post_ad"
             `Quick test_lulesh_grad_bit_identical;
+          Alcotest.test_case
+            "lulesh mpi/hybrid/jl gradients bit-identical under post_ad"
+            `Quick test_lulesh_mpi_grad_bit_identical;
           Alcotest.test_case "bude gradient bit-identical under post_ad"
             `Quick test_bude_grad_bit_identical;
           Alcotest.test_case "post_ad output matches golden digests" `Quick
             test_post_ad_golden;
           Alcotest.test_case "post_ad allocation bound on lulesh_omp" `Quick
             test_post_ad_alloc_bound;
+          Alcotest.test_case "post_ad allocation bound on lulesh_mpi" `Quick
+            test_post_ad_alloc_bound_mpi;
         ] );
       ( "props",
         [
           QCheck_alcotest.to_alcotest prop_o2_preserves_semantics;
           QCheck_alcotest.to_alcotest prop_gradient_survives_o2;
+          QCheck_alcotest.to_alcotest prop_mem_forward_exact;
         ] );
     ]
