@@ -42,6 +42,14 @@ let micro ~quick:_ =
       (Parad_opt.Pipeline.run lulesh_grad Parad_opt.Pipeline.post_ad)
       lulesh_dname
   in
+  let mpi_grad_fn =
+    let dprog, dname =
+      Parad_core.Reverse.gradient
+        (Apps_lulesh.Lulesh.program Apps_lulesh.Lulesh.Mpi)
+        "lulesh_mpi"
+    in
+    Parad_ir.Prog.find_exn dprog dname
+  in
   let tiny =
     {
       Apps_lulesh.Lulesh.nx = 2;
@@ -75,6 +83,9 @@ let micro ~quick:_ =
                ignore
                  (Parad_opt.Pipeline.run lulesh_grad
                     Parad_opt.Pipeline.post_ad)));
+        Test.make ~name:"mem_forward lulesh_mpi gradient"
+          (Staged.stage (fun () ->
+               ignore (Parad_opt.Mem_forward.run_func mpi_grad_fn)));
         Test.make ~name:"verify lulesh_omp gradient"
           (Staged.stage (fun () ->
                Parad_ir.Verifier.check_func lulesh_grad_fn));
