@@ -26,7 +26,7 @@ let run ~quick =
     }
   in
   (* the C++ MPI rows keep their full results: the adjoint-communication
-     counters go into BENCH_mpi.json and the counter table below *)
+     counters go into BENCH_fig8.json and the counter table below *)
   let cpp_fwd = List.map (fun n -> L.run ~nranks:n L.Mpi base) ranks in
   let cpp_grad = List.map (fun n -> L.gradient ~nranks:n L.Mpi base) ranks in
   let cpp_fwd_t = List.map (fun (r : L.run_result) -> r.L.makespan) cpp_fwd in
@@ -48,14 +48,30 @@ let run ~quick =
     ]
   in
   let f1 = List.hd cpp_fwd_t and g1 = List.hd cpp_grad_t in
+  (* one row per config; the name carries the rank count and the
+     ablation, so every (name, metric) is unique *)
+  let record_mpi name ~nranks ~coalesce ~f1 ~g1 ~forward (g : L.grad_result) =
+    let s = g.L.g_stats in
+    record
+      ~name:
+        (Printf.sprintf "%s/r%d%s" name nranks
+           (if coalesce then "" else "/nocoalesce"))
+      [
+        "nranks", "count", float nranks;
+        "coalesce", "bool", Bool.to_float coalesce;
+        "forward", "cycles", forward;
+        "gradient", "cycles", g.L.g_makespan;
+        "fwd_speedup", "ratio", f1 /. forward;
+        "grad_speedup", "ratio", g1 /. g.L.g_makespan;
+        "msgs_sent", "count", float s.S.msgs_sent;
+        "cells_sent", "cells", float s.S.cells_sent;
+        "max_inflight", "count", float s.S.max_inflight;
+      ]
+  in
   List.iteri
     (fun i n ->
-      let gr = List.nth cpp_grad i in
-      record_mpi ~name:"lulesh_cpp_mpi" ~nranks:n ~coalesce:true
-        ~forward:(List.nth cpp_fwd_t i) ~gradient:gr.L.g_makespan
-        ~fwd_speedup:(f1 /. List.nth cpp_fwd_t i)
-        ~grad_speedup:(g1 /. gr.L.g_makespan)
-        ~stats:(Some gr.L.g_stats))
+      record_mpi "lulesh_cpp_mpi" ~nranks:n ~coalesce:true ~f1 ~g1
+        ~forward:(List.nth cpp_fwd_t i) (List.nth cpp_grad i))
     ranks;
   subheader "top row: runtime (virtual cycles) vs ranks";
   cols "ranks" ranks;
@@ -90,10 +106,9 @@ let run ~quick =
       "RAJA MPI gradient", L.RajaMpi, true;
     ];
   (* gated row: always the full-size mesh, so the strong-scaling
-     threshold scripts/check.sh compares against bench/mpi_threshold
-     means the same thing under --quick; plus the --no-coalesce
-     ablation (one blocking dual per exchange, the uncoalesced
-     baseline) at the same size *)
+     floors in bench/gates mean the same thing under --quick; plus the
+     --no-coalesce ablation (one blocking dual per exchange, the
+     uncoalesced baseline) at the same size *)
   let last l = List.nth l (List.length l - 1) in
   let gmax = last ranks in
   let gate_inp = { base with L.nx = 4; ny = 4 } in
@@ -107,20 +122,15 @@ let run ~quick =
         gate_grad gmax )
     else (f1, g1, last cpp_fwd, last cpp_grad)
   in
-  record_mpi ~name:"lulesh_cpp_mpi_gate" ~nranks:gmax ~coalesce:true
-    ~forward:gfn.L.makespan ~gradient:ggn.L.g_makespan
-    ~fwd_speedup:(gf1 /. gfn.L.makespan)
-    ~grad_speedup:(gg1 /. ggn.L.g_makespan)
-    ~stats:(Some ggn.L.g_stats);
+  let record_gate =
+    record_mpi "lulesh_cpp_mpi_gate" ~nranks:gmax ~f1:gf1 ~g1:gg1
+  in
+  record_gate ~coalesce:true ~forward:gfn.L.makespan ggn;
   let nc_opts =
     { Parad_core.Plan.default_options with coalesce_comm = false }
   in
   let ggn_nc = gate_grad ~opts:nc_opts gmax in
-  record_mpi ~name:"lulesh_cpp_mpi_gate" ~nranks:gmax ~coalesce:false
-    ~forward:gfn.L.makespan ~gradient:ggn_nc.L.g_makespan
-    ~fwd_speedup:(gf1 /. gfn.L.makespan)
-    ~grad_speedup:(gg1 /. ggn_nc.L.g_makespan)
-    ~stats:(Some ggn_nc.L.g_stats);
+  record_gate ~coalesce:false ~forward:gfn.L.makespan ggn_nc;
   subheader
     (Printf.sprintf "adjoint-communication counters (%d ranks, full size)"
        gmax);

@@ -13,6 +13,10 @@ module Reverse = Parad_core.Reverse
 open Parad_ir
 
 let run ~quick =
+  (* the abl-mincut sweep's upper bound is the driver's
+     --recompute-depth flag, so deeper rematerialization can be explored
+     without a rebuild; read before any work so a bad value fails fast *)
+  let top = cli_int "--recompute-depth" ~default:10 in
   header "Ablations";
   let w = if quick then 8 else 16 in
   let deck = MB.deck ~nposes:32 ~natlig:6 ~natpro:8 in
@@ -25,9 +29,6 @@ let run ~quick =
   Printf.printf "  O2              : %12.3g\n" (g Pipe.o2);
   Printf.printf "  O2 + OpenMPOpt  : %12.3g\n" (g Pipe.o2_openmp);
   subheader "abl-mincut: cache-everything vs recompute-vs-cache (LULESH OMP)";
-  (* the sweep's upper bound is the driver's --recompute-depth flag, so
-     deeper rematerialization can be explored without a rebuild *)
-  let top = cli_int "--recompute-depth" ~default:10 in
   let g depth =
     let r =
       L.gradient ~nthreads:w

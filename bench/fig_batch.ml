@@ -10,22 +10,22 @@
    same engine): batching is a layout change, not a numeric one. The
    batched run and the k solo runs are interleaved round by round and
    each side takes its median (Util.median_runs).
-   scripts/check.sh compares the lulesh_omp/k8 speedup against
-   bench/batch_threshold and requires bitwise=true on every row. *)
+   bench/gates puts a floor under the lulesh_omp/k8 speedup and
+   requires every row bitwise. *)
 
 open Util
 module E = Parad_engine.Engine
 module Plan = Parad_core.Plan
 
-let bits_eq (a : float array) (b : float array) =
-  Array.length a = Array.length b
-  && (let ok = ref true in
-      Array.iteri
-        (fun i x ->
-          if Int64.bits_of_float x <> Int64.bits_of_float b.(i) then
-            ok := false)
-        a;
-      !ok)
+let record_batch ~name ~seeds ~wall_ns ~solo_ns ~bitwise =
+  record ~name
+    [
+      "seeds", "count", float seeds;
+      "wall_ns", "ns", wall_ns;
+      "solo_ns", "ns", solo_ns;
+      "speedup", "ratio", solo_ns /. wall_ns;
+      "bitwise", "bool", Bool.to_float bitwise;
+    ]
 
 let run ~quick =
   header "Batched multi-seed adjoints (one sweep, k seeds)";

@@ -7,27 +7,32 @@
    worth (plus the bounded tiered snapshot store), at the cost of primal
    re-advance work.
 
-   The binomial gate row always runs (even under --quick); scripts/
-   check.sh compares its cache_peak against bench/checkpoint_threshold. *)
+   The binomial gate row always runs (even under --quick); bench/gates
+   bounds its cache_peak and requires it bitwise. *)
 
 open Util
 module Plan = Parad_core.Plan
 module CK = Parad_runtime.Checkpoint
 
-let bits_eq (a : float array) (b : float array) =
-  Array.length a = Array.length b
-  && (let ok = ref true in
-      Array.iteri
-        (fun i x ->
-          if not (Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float b.(i)))
-          then ok := false)
-        a;
-      !ok)
-
-let grads_eq (a : L.grad_result) (b : L.grad_result) =
-  Array.length a.L.d_coords = Array.length b.L.d_coords
-  && Array.for_all2 bits_eq a.L.d_coords b.L.d_coords
-  && Array.for_all2 bits_eq a.L.d_energy b.L.d_energy
+(* budget 0 is the store-all baseline (no snapshot budget) *)
+let record_checkpoint ~name ~niter ~budget ~tiers ~gradient ~sweeps ~segments
+    ~advances ~bitwise (s : S.t) =
+  record ~name
+    [
+      "niter", "count", float niter;
+      "budget", "count", float budget;
+      "tiers", "count", float tiers;
+      "gradient", "cycles", gradient;
+      "cache_peak", "cells", float s.S.cache_peak;
+      "sweeps", "count", float sweeps;
+      "segments", "count", float segments;
+      "advances", "count", float advances;
+      "snap_count", "count", float s.S.snap_count;
+      "snap_bytes", "bytes", float s.S.snap_bytes;
+      "snap_evictions", "count", float s.S.snap_evictions;
+      "snap_restores", "count", float s.S.snap_restores;
+      "bitwise", "bool", Bool.to_float bitwise;
+    ]
 
 let run ~quick =
   header "Long-horizon checkpoint schedules (LULESH MPI gradient)";
@@ -47,7 +52,7 @@ let run ~quick =
     base.L.g_makespan bs.S.cache_peak;
   record_checkpoint ~name:"lulesh_mpi_store_all" ~niter ~budget:0 ~tiers:0
     ~gradient:base.L.g_makespan ~sweeps:1 ~segments:1 ~advances:0
-    ~bitwise:true ~stats:(Some bs);
+    ~bitwise:true bs;
 
   if not quick then begin
     subheader "depth-k rematerialization (intra-iteration recompute only)";
@@ -69,7 +74,7 @@ let run ~quick =
   let b = L.gradient_binomial ~nranks ~tiers:2 ~budget L.Mpi inp in
   let g = b.L.b_grad in
   let gs = g.L.g_stats in
-  let bitwise = grads_eq g base in
+  let bitwise = lulesh_bits_eq g base in
   Printf.printf
     "  gradient %12.4g cycles, cache peak %8d cells (store-all: %d)\n"
     g.L.g_makespan gs.S.cache_peak bs.S.cache_peak;
@@ -83,7 +88,7 @@ let run ~quick =
   Printf.printf "  bit-identical to store-all: %b\n" bitwise;
   record_checkpoint ~name:"lulesh_mpi_binomial_gate" ~niter ~budget ~tiers:2
     ~gradient:g.L.g_makespan ~sweeps:b.L.b_sweeps ~segments:b.L.b_segments
-    ~advances:b.L.b_advances ~bitwise ~stats:(Some gs);
+    ~advances:b.L.b_advances ~bitwise gs;
 
   if not quick then begin
     subheader "budget sweep (memory/recompute trade)";
@@ -96,13 +101,13 @@ let run ~quick =
            %3d advances, %2d evictions, bitwise %b\n"
           budget b.L.b_grad.L.g_makespan gs.S.cache_peak b.L.b_advances
           gs.S.snap_evictions
-          (grads_eq b.L.b_grad base);
+          (lulesh_bits_eq b.L.b_grad base);
         record_checkpoint
           ~name:(Printf.sprintf "lulesh_mpi_binomial_b%d" budget)
           ~niter ~budget ~tiers:2 ~gradient:b.L.b_grad.L.g_makespan
           ~sweeps:b.L.b_sweeps ~segments:b.L.b_segments
           ~advances:b.L.b_advances
-          ~bitwise:(grads_eq b.L.b_grad base)
-          ~stats:(Some gs))
+          ~bitwise:(lulesh_bits_eq b.L.b_grad base)
+          gs)
       [ 1; 2; 8 ]
   end

@@ -7,8 +7,8 @@
    executed on engine=interp and engine=seq, wall time taken from
    Stats.wall_ns (simulation only — plan compilation is excluded), the
    median of interleaved runs (Util.median_runs). Every engine row's
-   gradient digest must equal the interpreter's. scripts/check.sh
-   compares the seq row's speedup against bench/engine_threshold. *)
+   gradient digest must equal the interpreter's. bench/gates puts a
+   floor under the seq row's speedup and requires every row bitwise. *)
 
 open Util
 module E = Parad_engine.Engine
@@ -36,8 +36,14 @@ let run ~quick =
                Printf.sprintf "%.4g" (makespan g);
                string_of_bool bitwise;
              ];
-           record_engine ~name ~cores ~wall_ns:ns ~speedup:(base_ns /. ns)
-             ~makespan:(makespan g) ~bitwise;
+           record ~name
+             [
+               "cores", "count", float cores;
+               "wall_ns", "ns", ns;
+               "speedup", "ratio", base_ns /. ns;
+               "makespan", "cycles", makespan g;
+               "bitwise", "bool", Bool.to_float bitwise;
+             ];
            bitwise)
          runs)
   in

@@ -15,10 +15,10 @@
      run ended in a structured notice, not a wrong answer;
    - silent    : a gradient whose bits differ from clean with no
      detection. The whole point of the envelope is that this row is
-     zero; scripts/check.sh fails the build otherwise.
+     zero; bench/gates fails the build otherwise.
 
-   The gate row compares detection coverage (detected / landed) against
-   bench/sdc_threshold, and the protect_clean row prices the ABFT seals
+   bench/gates puts a floor under each campaign's detection coverage
+   (detected / landed), and the protect_clean row prices the ABFT seals
    themselves: a never-firing flip plan arms protection without ever
    striking, so its makespan ratio is pure checksum overhead. *)
 
@@ -52,11 +52,24 @@ let next r =
 let draw_int r bound =
   Int64.to_int (Int64.unsigned_rem (next r) (Int64.of_int bound))
 
-let bits_eq a b =
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
-       a b
+(* detected / landed, in percent; 100 when nothing landed *)
+let coverage ~injected ~detected =
+  if injected = 0 then 100.0 else 100.0 *. float detected /. float injected
+
+let record_sdc ~name ~trials ~injected ~detected ~recovered ~masked ~aborted
+    ~silent ~overhead =
+  record ~name
+    [
+      "trials", "count", float trials;
+      "injected", "count", float injected;
+      "detected", "count", float detected;
+      "recovered", "count", float recovered;
+      "masked", "count", float masked;
+      "aborted", "count", float aborted;
+      "silent", "count", float silent;
+      "coverage", "%", coverage ~injected ~detected;
+      "overhead", "ratio", overhead;
+    ]
 
 (* one campaign: run [trials] drawn faults through [trial], classify,
    record a row. [trial] returns the landed-fault stats and makespan on
@@ -95,8 +108,7 @@ let campaign ~name ~trials ~clean_makespan trial =
     "%-22s %4d trials: %3d landed, %3d detected, %3d recovered, %3d masked, \
      %3d aborted, %d SILENT; coverage %.1f%%, recovery overhead %.2fx\n"
     name trials !injected !detected !recovered !masked !aborted !silent
-    (if !injected = 0 then 100.0
-     else 100.0 *. float_of_int !detected /. float_of_int !injected)
+    (coverage ~injected:!injected ~detected:!detected)
     overhead;
   record_sdc ~name ~trials ~injected:!injected ~detected:!detected
     ~recovered:!recovered ~masked:!masked ~aborted:!aborted ~silent:!silent
@@ -112,10 +124,7 @@ let run ~quick =
   let deck = MB.deck ~nposes:8 ~natlig:4 ~natpro:6 in
   let mc = MB.compile ~ntasks:1 MB.Omp in
   let mb_clean = MB.gradient_compiled mc deck in
-  let lulesh_eq (g : L.grad_result) =
-    Array.for_all2 bits_eq clean.L.d_coords g.L.d_coords
-    && Array.for_all2 bits_eq clean.L.d_energy g.L.d_energy
-  in
+  let lulesh_eq = lulesh_bits_eq clean in
   let mb_eq (g : MB.grad_result) =
     bits_eq mb_clean.MB.g_energies g.MB.g_energies
     && bits_eq mb_clean.MB.d_lig g.MB.d_lig

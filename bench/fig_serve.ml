@@ -6,13 +6,13 @@
 
    - plan cache: the same request served cold (pipeline compile) and
      warm (LRU lookup). The warm/cold wall-time ratio is the gate row —
-     scripts/check.sh compares warm_speedup against
-     bench/serve_threshold.
+     bench/gates puts a floor under its warm_speedup.
    - throughput vs. concurrency: bursts of N simultaneous arrivals
      into a fixed worker pool; beyond workers + queue_cap the tail
      sheds, so throughput saturates while p95 latency climbs.
    - chaos: a seeded slam mix; the row records shed, breaker trips and
-     recoveries under hostile traffic. *)
+     recoveries under hostile traffic; bench/gates requires both
+     shedding and breaker trips. *)
 
 open Util
 module SV = Parad_server.Service
@@ -65,10 +65,16 @@ let run ~quick =
      warm speedup %.0fx\n"
     reps c.PC.misses cold_ns c.PC.hits warm_ns
     (cold_ns /. Float.max warm_ns 1.0);
-  record_serve ~name:"plan_cache" ~workers:no_watchdog.SV.workers
-    ~requests:reps ~ok:svc.SV.executed ~shed:0 ~trips:0 ~recoveries:0
-    ~cold_ns ~warm_ns ~p95_cycles:(SV.percentile 0.95 svc.SV.latencies)
-    ~throughput:0.0;
+  record ~name:"plan_cache"
+    [
+      "workers", "count", float no_watchdog.SV.workers;
+      "requests", "count", float reps;
+      "ok", "count", float svc.SV.executed;
+      "cold_ns", "ns", cold_ns;
+      "warm_ns", "ns", warm_ns;
+      "warm_speedup", "ratio", cold_ns /. warm_ns;
+      "p95_cycles", "cycles", SV.percentile 0.95 svc.SV.latencies;
+    ];
 
   (* ---- throughput vs concurrency ---- *)
   subheader "throughput vs concurrency (burst arrivals, workers=4 queue=8)";
@@ -92,11 +98,16 @@ let run ~quick =
         "  burst %3d: executed %3d, shed %3d, p95 %10.4g cycles, \
          %.2f req/Mcycle\n"
         n svc.SV.executed svc.SV.shed p95 throughput;
-      record_serve
+      record
         ~name:(Printf.sprintf "burst_%d" n)
-        ~workers:cfg.SV.workers ~requests:n ~ok:svc.SV.executed
-        ~shed:svc.SV.shed ~trips:0 ~recoveries:0 ~cold_ns:0.0 ~warm_ns:0.0
-        ~p95_cycles:p95 ~throughput)
+        [
+          "workers", "count", float cfg.SV.workers;
+          "requests", "count", float n;
+          "ok", "count", float svc.SV.executed;
+          "shed", "count", float svc.SV.shed;
+          "p95_cycles", "cycles", p95;
+          "throughput", "req/Mcycle", throughput;
+        ])
     bursts;
 
   (* ---- chaos ---- *)
@@ -110,7 +121,12 @@ let run ~quick =
     r.Slam.s_shed r.Slam.s_trips r.Slam.s_recoveries;
   if not (Slam.passed r) then
     failwith "fig_serve: chaos slam violated the robustness contract";
-  record_serve ~name:"chaos" ~workers:2 ~requests:r.Slam.s_requests
-    ~ok:r.Slam.s_responses ~shed:r.Slam.s_shed ~trips:r.Slam.s_trips
-    ~recoveries:r.Slam.s_recoveries ~cold_ns:0.0 ~warm_ns:0.0
-    ~p95_cycles:0.0 ~throughput:0.0
+  record ~name:"chaos"
+    [
+      "workers", "count", 2.0;
+      "requests", "count", float r.Slam.s_requests;
+      "ok", "count", float r.Slam.s_responses;
+      "shed", "count", float r.Slam.s_shed;
+      "trips", "count", float r.Slam.s_trips;
+      "recoveries", "count", float r.Slam.s_recoveries;
+    ]

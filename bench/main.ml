@@ -9,23 +9,9 @@
                    [--recompute-depth N]
 
    Figure drivers record machine-readable results; the run writes them
-   to BENCH_overhead.json on exit (see Util.write_bench_json). *)
-
-let figures =
-  [
-    "fig8", Fig8.run;
-    "fig9", Fig9.run;
-    "fig10", Fig10.run;
-    "fig11", Fig11.run;
-    "overhead", Fig_overhead.run;
-    "verify", Fig_verify.run;
-    "ablation", Fig_ablation.run;
-    "checkpoint", Fig_checkpoint.run;
-    "serve", Fig_serve.run;
-    "sdc", Fig_sdc.run;
-    "engine", Fig_engine.run;
-    "batch", Fig_batch.run;
-  ]
+   on exit to BENCH_<figure>.json, one file per figure that ran, all in
+   one schema (see Util.write_results). check_gates.exe checks them
+   against bench/gates. *)
 
 (* ---- bechamel micro-benchmarks (real time) ---- *)
 
@@ -106,37 +92,40 @@ let micro ~quick:_ =
       match Analyze.OLS.estimates result with
       | Some [ est ] ->
         Printf.printf "%-44s %12.1f ns/run\n" name est;
-        Util.record_micro ~name ~ns:est
+        Util.record ~name [ "ns_per_run", "ns", est ]
       | _ -> Printf.printf "%-44s (no estimate)\n" name)
     results
 
+let figures =
+  [
+    "fig8", Fig8.run;
+    "fig9", Fig9.run;
+    "fig10", Fig10.run;
+    "fig11", Fig11.run;
+    "overhead", Fig_overhead.run;
+    "verify", Fig_verify.run;
+    "ablation", Fig_ablation.run;
+    "checkpoint", Fig_checkpoint.run;
+    "serve", Fig_serve.run;
+    "sdc", Fig_sdc.run;
+    "engine", Fig_engine.run;
+    "batch", Fig_batch.run;
+    "micro", micro;
+  ]
+
 let () =
   let quick = Array.exists (( = ) "--quick") Sys.argv in
-  let chosen =
-    let rec find i =
-      if i >= Array.length Sys.argv - 1 then None
-      else if Sys.argv.(i) = "--figure" then Some Sys.argv.(i + 1)
-      else find (i + 1)
-    in
-    find 1
+  let run (name, f) =
+    Util.figure := name;
+    f ~quick
   in
-  (match chosen with
-  | Some "micro" -> micro ~quick
+  (match Util.cli_arg "--figure" with
+  | None -> List.iter run figures
   | Some name -> (
     match List.assoc_opt name figures with
-    | Some f -> f ~quick
+    | Some f -> run (name, f)
     | None ->
-      Printf.eprintf "unknown figure %S; available: %s micro\n" name
-        (String.concat " " (List.map fst figures));
-      exit 1)
-  | None ->
-    List.iter (fun (_, f) -> f ~quick) figures;
-    micro ~quick);
-  Util.write_bench_json ~quick;
-  Util.write_mpi_json ~quick;
-  Util.write_checkpoint_json ~quick;
-  Util.write_serve_json ~quick;
-  Util.write_sdc_json ~quick;
-  Util.write_engine_json ~quick;
-  Util.write_batch_json ~quick;
+      Util.usage_error "unknown figure %S; available: %s" name
+        (String.concat " " (List.map fst figures))));
+  Util.write_results ~quick ();
   Printf.printf "\nbench: done.\n"

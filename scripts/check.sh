@@ -1,9 +1,10 @@
 #!/bin/sh
-# Full verification gate: build, run every test suite, then smoke-check
+# Full verification gate: build, run every test suite, smoke-check
 # the fault-injection and recovery CLI scenarios and their exit-code
 # protocol (0 clean, 1 audit issues, 2 runtime error, 3 deadlock or
 # rank failure, 4 recovered but degraded, 9 silent data corruption
-# detected but unrecovered).
+# detected but unrecovered), then run the gated bench figures and check
+# bench/gates.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -219,96 +220,6 @@ grep -q "at most once" /tmp/parad-check.out || {
   exit 1
 }
 
-# ---- shared-memory overhead regression gate ----
-# The quick overhead figure still runs the headline "LULESH C++ OMP"
-# configuration at 64 threads; its gradient/forward ratio must stay at
-# or below the checked-in threshold (bench/overhead_threshold).
-
-echo "== overhead regression gate =="
-dune exec bench/main.exe -- --quick --figure overhead > /tmp/parad-bench.out 2>&1 || {
-  echo "FAIL: overhead benchmark did not run"
-  cat /tmp/parad-bench.out
-  exit 1
-}
-tail -n 20 /tmp/parad-bench.out
-THRESH=$(cat bench/overhead_threshold)
-OVH=$(grep -o '"name": "LULESH C++ OMP",[^}]*' BENCH_overhead.json \
-  | grep -o '"overhead": [0-9.]*' | awk '{print $2}')
-[ -n "$OVH" ] || {
-  echo "FAIL: no LULESH C++ OMP row in BENCH_overhead.json"
-  exit 1
-}
-awk -v o="$OVH" -v t="$THRESH" 'BEGIN { exit !(o <= t) }' || {
-  echo "FAIL: LULESH OMP 64-thread overhead ${OVH}x exceeds threshold ${THRESH}x"
-  exit 1
-}
-echo "overhead gate: ${OVH}x <= ${THRESH}x"
-
-# ---- MPI strong-scaling regression gate ----
-# Fig 8's gate row always runs the full-size 64-rank LULESH MPI mesh
-# (even under --quick) and records its strong-scaling speedups in
-# BENCH_mpi.json; gradient and forward must stay at or above the
-# checked-in floors (bench/mpi_threshold: "grad_min fwd_min").
-
-echo "== MPI strong-scaling gate =="
-dune exec bench/main.exe -- --quick --figure fig8 > /tmp/parad-mpi.out 2>&1 || {
-  echo "FAIL: fig8 benchmark did not run"
-  cat /tmp/parad-mpi.out
-  exit 1
-}
-tail -n 6 /tmp/parad-mpi.out
-GRAD_MIN=$(awk '{print $1}' bench/mpi_threshold)
-FWD_MIN=$(awk '{print $2}' bench/mpi_threshold)
-GATE=$(grep -o '"name": "lulesh_cpp_mpi_gate", "nranks": 64, "coalesce": true,[^}]*' BENCH_mpi.json)
-[ -n "$GATE" ] || {
-  echo "FAIL: no 64-rank gate row in BENCH_mpi.json"
-  exit 1
-}
-GRAD_SP=$(echo "$GATE" | grep -o '"grad_speedup": [0-9.]*' | awk '{print $2}')
-FWD_SP=$(echo "$GATE" | grep -o '"fwd_speedup": [0-9.]*' | awk '{print $2}')
-awk -v g="$GRAD_SP" -v t="$GRAD_MIN" 'BEGIN { exit !(g >= t) }' || {
-  echo "FAIL: 64-rank LULESH MPI gradient speedup ${GRAD_SP}x below floor ${GRAD_MIN}x"
-  exit 1
-}
-awk -v f="$FWD_SP" -v t="$FWD_MIN" 'BEGIN { exit !(f >= t) }' || {
-  echo "FAIL: 64-rank LULESH MPI forward speedup ${FWD_SP}x below floor ${FWD_MIN}x"
-  exit 1
-}
-echo "mpi gate: gradient ${GRAD_SP}x >= ${GRAD_MIN}x, forward ${FWD_SP}x >= ${FWD_MIN}x"
-
-# ---- long-horizon checkpoint gate ----
-# The checkpoint figure's gate row runs the 24-iteration LULESH MPI
-# gradient (>= 10x the headline bench horizon) under a binomial schedule
-# with a fixed snapshot budget, even under --quick, and records it in
-# BENCH_checkpoint.json. Its AD cache peak must stay at or below the
-# checked-in ceiling (bench/checkpoint_threshold) — store-all peaks ~20x
-# higher at this horizon — and the gradient must be bit-identical to the
-# store-all baseline.
-
-echo "== long-horizon checkpoint gate =="
-dune exec bench/main.exe -- --quick --figure checkpoint > /tmp/parad-ckpt.out 2>&1 || {
-  echo "FAIL: checkpoint benchmark did not run"
-  cat /tmp/parad-ckpt.out
-  exit 1
-}
-tail -n 8 /tmp/parad-ckpt.out
-PEAK_MAX=$(cat bench/checkpoint_threshold)
-CROW=$(grep -o '"name": "lulesh_mpi_binomial_gate",[^}]*' BENCH_checkpoint.json)
-[ -n "$CROW" ] || {
-  echo "FAIL: no binomial gate row in BENCH_checkpoint.json"
-  exit 1
-}
-CPEAK=$(echo "$CROW" | grep -o '"cache_peak": [0-9]*' | awk '{print $2}')
-awk -v p="$CPEAK" -v t="$PEAK_MAX" 'BEGIN { exit !(p <= t) }' || {
-  echo "FAIL: binomial checkpoint cache peak ${CPEAK} cells exceeds ceiling ${PEAK_MAX}"
-  exit 1
-}
-echo "$CROW" | grep -q '"bitwise": true' || {
-  echo "FAIL: binomial gradient is not bit-identical to the store-all baseline"
-  exit 1
-}
-echo "checkpoint gate: cache peak ${CPEAK} <= ${PEAK_MAX}, bit-identical"
-
 # ---- seeded chaos-soak smoke ----
 # A short deterministic soak: randomized fault plans x checkpoint
 # schedules; every trial must end bit-identical or as a classified clean
@@ -397,147 +308,37 @@ echo "== slam soak (50 seeded chaos requests) =="
 expect_exit 0 slam --requests 50 --seed 42
 tail -n 8 /tmp/parad-check.out
 
-# ---- plan-cache warm-speedup gate ----
-# The serve figure measures cold pipeline compiles vs warm LRU lookups
-# through the real request path; the warm speedup must stay at or above
-# the checked-in floor (bench/serve_threshold).
+# ---- bench regression gates ----
+# Every floor and ceiling lives in bench/gates. Run each figure it
+# names once (quick, in file order: the gates are grouped by figure),
+# then check every gate against the BENCH_<figure>.json files just
+# written.
 
-echo "== serve warm-plan gate =="
-dune exec bench/main.exe -- --quick --figure serve > /tmp/parad-serve-bench.out 2>&1 || {
-  echo "FAIL: serve benchmark did not run"
-  cat /tmp/parad-serve-bench.out
-  exit 1
-}
-tail -n 10 /tmp/parad-serve-bench.out
-SP_MIN=$(cat bench/serve_threshold)
-SP=$(grep -o '"name": "plan_cache",[^}]*' BENCH_serve.json \
-  | grep -o '"warm_speedup": [0-9.]*' | awk '{print $2}')
-[ -n "$SP" ] || {
-  echo "FAIL: no plan_cache row in BENCH_serve.json"
-  exit 1
-}
-awk -v s="$SP" -v t="$SP_MIN" 'BEGIN { exit !(s >= t) }' || {
-  echo "FAIL: warm-plan speedup ${SP}x below floor ${SP_MIN}x"
-  exit 1
-}
-SHED=$(grep -o '"name": "chaos",[^}]*' BENCH_serve.json \
-  | grep -o '"shed": [0-9]*' | awk '{print $2}')
-TRIPS=$(grep -o '"name": "chaos",[^}]*' BENCH_serve.json \
-  | grep -o '"trips": [0-9]*' | awk '{print $2}')
-[ "${SHED:-0}" -gt 0 ] && [ "${TRIPS:-0}" -gt 0 ] || {
-  echo "FAIL: chaos row recorded no shedding/breaker trips (shed=$SHED trips=$TRIPS)"
-  exit 1
-}
-echo "serve gate: warm speedup ${SP}x >= ${SP_MIN}x, chaos shed=$SHED trips=$TRIPS"
-
-# ---- SDC campaign gate ----
-# The sdc figure runs the seeded injection campaign (bit flips and
-# message corruption on both apps). The contract: zero silent wrong
-# gradients anywhere, detection coverage at or above the checked-in
-# floor, and the pure protection overhead (armed seals, never-firing
-# plan) at or below the checked-in ceiling. bench/sdc_threshold holds
-# the floor (line 1, percent) and the ceiling (line 2, ratio).
-
-echo "== SDC injection-campaign gate =="
-dune exec bench/main.exe -- --quick --figure sdc > /tmp/parad-sdc-bench.out 2>&1 || {
-  echo "FAIL: sdc benchmark did not run"
-  cat /tmp/parad-sdc-bench.out
-  exit 1
-}
-tail -n 12 /tmp/parad-sdc-bench.out
-COV_MIN=$(sed -n 1p bench/sdc_threshold)
-OVH_MAX=$(sed -n 2p bench/sdc_threshold)
-SILENT=$(grep -o '"silent": [0-9]*' BENCH_sdc.json | awk '{s += $2} END {print s}')
-[ "${SILENT:-1}" -eq 0 ] || {
-  echo "FAIL: SDC campaign produced $SILENT silent wrong gradient(s)"
-  exit 1
-}
-for ROWNAME in lulesh_mpi_flip lulesh_mpi_msg lulesh_mpi_msg_sticky bude_omp_flip; do
-  COV=$(grep -o "\"name\": \"$ROWNAME\",[^}]*" BENCH_sdc.json \
-    | grep -o '"coverage": [0-9.]*' | awk '{print $2}')
-  [ -n "$COV" ] || {
-    echo "FAIL: no $ROWNAME row in BENCH_sdc.json"
+for fig in $(sed -n 's/^\([a-z0-9_][a-z0-9_]*\)[[:space:]].*/\1/p' bench/gates | uniq); do
+  echo "== bench --quick --figure $fig =="
+  dune exec bench/main.exe -- --quick --figure "$fig" > /tmp/parad-bench.out 2>&1 || {
+    echo "FAIL: $fig benchmark did not run"
+    cat /tmp/parad-bench.out
     exit 1
   }
-  awk -v c="$COV" -v t="$COV_MIN" 'BEGIN { exit !(c >= t) }' || {
-    echo "FAIL: $ROWNAME detection coverage ${COV}% below floor ${COV_MIN}%"
+  tail -n 12 /tmp/parad-bench.out
+done
+
+echo "== bench gates =="
+dune exec bench/check_gates.exe
+
+# the bench driver rejects a malformed command line (exit 2) instead of
+# running with defaults
+for args in "--figure" "--figure nosuch" "--figure ablation --recompute-depth x"; do
+  set +e
+  dune exec bench/main.exe -- $args > /tmp/parad-bench.out 2>&1
+  got=$?
+  set -e
+  [ "$got" -eq 2 ] || {
+    echo "FAIL: bench/main.exe $args exited $got, expected 2"
+    cat /tmp/parad-bench.out
     exit 1
   }
 done
-POVH=$(grep -o '"name": "protect_clean",[^}]*' BENCH_sdc.json \
-  | grep -o '"overhead": [0-9.]*' | awk '{print $2}')
-[ -n "$POVH" ] || {
-  echo "FAIL: no protect_clean row in BENCH_sdc.json"
-  exit 1
-}
-awk -v o="$POVH" -v t="$OVH_MAX" 'BEGIN { exit !(o <= t) }' || {
-  echo "FAIL: protection overhead ${POVH}x above ceiling ${OVH_MAX}x"
-  exit 1
-}
-echo "sdc gate: silent=0, coverage >= ${COV_MIN}% on all campaigns, protect overhead ${POVH}x <= ${OVH_MAX}x"
-
-# ---- execution-engine wall-clock gate ----
-# The engine figure runs the headline LULESH OMP 64-thread gradient on
-# both substrates and records wall-clock from Stats.wall_ns in
-# BENCH_engine.json. Gates: (1) every row must be bit-identical to the
-# interpreter ("bitwise": true — fig_engine itself exits 1 otherwise);
-# (2) the lowered engine's speedup over the interpreter must stay at or
-# above the checked-in floor (bench/engine_threshold).
-
-echo "== execution-engine gate =="
-dune exec bench/main.exe -- --quick --figure engine > /tmp/parad-eng.out 2>&1 || {
-  echo "FAIL: engine benchmark did not run (or a gradient diverged)"
-  cat /tmp/parad-eng.out
-  exit 1
-}
-tail -n 12 /tmp/parad-eng.out
-ENG_MIN=$(cat bench/engine_threshold)
-if grep -q '"bitwise": false' BENCH_engine.json; then
-  echo "FAIL: an engine row is not bit-identical to the interpreter"
-  exit 1
-fi
-SEQ_ROW=$(grep -o '"name": "lulesh_omp/seq",[^}]*' BENCH_engine.json)
-[ -n "$SEQ_ROW" ] || {
-  echo "FAIL: no lulesh_omp/seq row in BENCH_engine.json"
-  exit 1
-}
-SEQ_SP=$(echo "$SEQ_ROW" | grep -o '"speedup": [0-9.]*' | awk '{print $2}')
-awk -v s="$SEQ_SP" -v t="$ENG_MIN" 'BEGIN { exit !(s >= t) }' || {
-  echo "FAIL: seq engine speedup ${SEQ_SP}x below floor ${ENG_MIN}x"
-  exit 1
-}
-echo "engine gate: seq ${SEQ_SP}x >= ${ENG_MIN}x, bit-identical on all rows"
-
-# ---- batched multi-seed adjoint gate ----
-# The batch figure runs one k-lane batched reverse sweep against k
-# sequential single-seed gradients on the same engine and records both
-# in BENCH_batch.json. Gates: (1) every lane column must be
-# bit-identical to its standalone run ("bitwise": true — fig_batch
-# itself exits 1 otherwise); (2) the lulesh_omp/k8 amortization must
-# stay at or above the checked-in floor (bench/batch_threshold).
-
-echo "== batched-adjoint gate =="
-dune exec bench/main.exe -- --quick --figure batch > /tmp/parad-batch.out 2>&1 || {
-  echo "FAIL: batch benchmark did not run (or a lane diverged)"
-  cat /tmp/parad-batch.out
-  exit 1
-}
-tail -n 10 /tmp/parad-batch.out
-BATCH_MIN=$(cat bench/batch_threshold)
-if grep -q '"bitwise": false' BENCH_batch.json; then
-  echo "FAIL: a batched lane is not bit-identical to its standalone run"
-  exit 1
-fi
-K8_ROW=$(grep -o '"name": "lulesh_omp/k8",[^}]*' BENCH_batch.json)
-[ -n "$K8_ROW" ] || {
-  echo "FAIL: no lulesh_omp/k8 row in BENCH_batch.json"
-  exit 1
-}
-K8_SP=$(echo "$K8_ROW" | grep -o '"speedup": [0-9.]*' | awk '{print $2}')
-awk -v s="$K8_SP" -v t="$BATCH_MIN" 'BEGIN { exit !(s >= t) }' || {
-  echo "FAIL: batched k=8 speedup ${K8_SP}x below floor ${BATCH_MIN}x"
-  exit 1
-}
-echo "batch gate: k=8 ${K8_SP}x >= ${BATCH_MIN}x, every lane bit-identical"
 
 echo "all checks passed"
