@@ -13,10 +13,10 @@
    one schema (see Util.write_results). check_gates.exe checks them
    against bench/gates. *)
 
-(* ---- bechamel micro-benchmarks (real time) ---- *)
+(* ---- bechamel micro-benchmarks (real time, minor-heap words) ---- *)
 
 let micro ~quick:_ =
-  Util.header "Micro-benchmarks (bechamel, real wall time)";
+  Util.header "Micro-benchmarks (bechamel, real wall time and minor words)";
   let open Bechamel in
   let lulesh_prog = Apps_lulesh.Lulesh.program Apps_lulesh.Lulesh.Omp in
   let bude_prog = Apps_minibude.Minibude.program () in
@@ -46,6 +46,15 @@ let micro ~quick:_ =
       escale = 1.0;
     }
   in
+  (* warm engine run: the plan is compiled and lowered before timing, so
+     a run is the forward/taping pass and the reverse sweep only *)
+  let mpi_plan = Apps_lulesh.Lulesh.compile Apps_lulesh.Lulesh.Mpi in
+  let warm_mpi () =
+    ignore
+      (Apps_lulesh.Lulesh.gradient_compiled ~nranks:2
+         ~engine:Parad_engine.Engine.Seq mpi_plan tiny)
+  in
+  warm_mpi ();
   let tests =
     Test.make_grouped ~name:"parad" ~fmt:"%s %s"
       [
@@ -75,9 +84,11 @@ let micro ~quick:_ =
         Test.make ~name:"verify lulesh_omp gradient"
           (Staged.stage (fun () ->
                Parad_ir.Verifier.check_func lulesh_grad_fn));
+        Test.make ~name:"engine warm lulesh_mpi gradient"
+          (Staged.stage warm_mpi);
       ]
   in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
+  let instances = Toolkit.Instance.[ monotonic_clock; minor_allocated ] in
   let cfg =
     Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) ~kde:None ()
   in
@@ -86,15 +97,23 @@ let micro ~quick:_ =
     Analyze.ols ~bootstrap:0 ~r_square:false
       ~predictors:[| Measure.run |]
   in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] ->
-        Printf.printf "%-44s %12.1f ns/run\n" name est;
-        Util.record ~name [ "ns_per_run", "ns", est ]
+  let clock = Analyze.all ols Toolkit.Instance.monotonic_clock raw
+  and words = Analyze.all ols Toolkit.Instance.minor_allocated raw in
+  let estimate results name =
+    match Option.map Analyze.OLS.estimates (Hashtbl.find_opt results name) with
+    | Some (Some [ est ]) -> Some est
+    | _ -> None
+  in
+  List.iter
+    (fun name ->
+      match estimate clock name, estimate words name with
+      | Some ns, Some mw ->
+        Printf.printf "%-44s %12.1f ns/run %10.1f minor words/run\n" name ns
+          mw;
+        Util.record ~name
+          [ "ns_per_run", "ns", ns; "minor_words_per_run", "words", mw ]
       | _ -> Printf.printf "%-44s (no estimate)\n" name)
-    results
+    (List.sort compare (Hashtbl.fold (fun name _ acc -> name :: acc) clock []))
 
 let figures =
   [

@@ -7,11 +7,12 @@
 
     {b Lowering.} Each function's variables are assigned integer slots in
     four typed register files (float / int / bool / boxed) at compile
-    time; every instruction becomes a closure over those slot ids, so the
-    hot path runs with no per-step environment allocation, no variable
-    hashing, and no boxing of scalar traffic. Straight-line instruction
-    runs are fused into segments whose {!Stats} counters are incremented
-    in one batch.
+    time; every instruction becomes a closure over those slot ids that
+    reads its operands straight from the typed files, so the hot path
+    runs with no per-step environment allocation, no variable hashing,
+    and no boxing of scalar traffic beyond the few allocations DESIGN.md
+    lists. Straight-line instruction runs are fused into segments whose
+    {!Stats} counters are incremented in one batch.
 
     {b Bit-identity.} The engine replicates the interpreter's observable
     semantics exactly: every virtual-time charge is issued individually,
@@ -65,7 +66,8 @@ type thr = {
   fcache : (int, eframe array) Hashtbl.t;
       (** parked member-frame sets by fork site, shared by every strand of
           the run (all strands of a run that execute forks live on one OS
-          thread) *)
+          thread); created per {!exec_call_slots} call, i.e. per rank of
+          one request *)
   cost : Cost_model.t;
   st : Stats.t;
   clock : clk;  (** never shared between strands: copies get fresh cells *)
@@ -133,7 +135,10 @@ let check_dl t (d : dl) =
            { de_at = t.clock.now; de_limit = d.wall_ms; de_wall = true })
   | None -> ()
 
-let charge t c =
+(* Inlined into every closure: a float argument of an out-of-line call
+   is boxed, so a computed charge ([charge_mem]'s products) would
+   allocate on every access. *)
+let[@inline] charge t c =
   t.clock.now <- t.clock.now +. c;
   match t.dl with None -> () | Some d -> check_dl t d
 
@@ -143,7 +148,7 @@ let charge t c =
 let sync_out t = (Sim.self ()).Sim.clock <- t.clock.now
 let sync_in t = t.clock.now <- (Sim.self ()).Sim.clock
 
-let charge_mem t (buf : Value.buffer) =
+let[@inline] charge_mem t (buf : Value.buffer) =
   let c = t.cost in
   let mult =
     if buf.socket <> t.socket then c.Cost_model.numa_remote_mult else 1.0
@@ -158,10 +163,41 @@ let charge_mem_n t (buf : Value.buffer) n =
   in
   charge t (c.Cost_model.mem *. mult *. float_of_int n)
 
-let check_rank t (buf : Value.buffer) =
-  if buf.rank <> t.ctx.Interp.rank then
-    error "cross-rank memory access: buffer of rank %d touched by rank %d"
-      buf.rank t.ctx.Interp.rank
+(* transcendental ops cost less inside a rematerialization chain *)
+let[@inline] transc_cost t =
+  if t.ctx.Interp.remat_depth > 0 then t.cost.Cost_model.transcendental_remat
+  else t.cost.Cost_model.transcendental
+
+let rank_error t (buf : Value.buffer) =
+  error "cross-rank memory access: buffer of rank %d touched by rank %d"
+    buf.rank t.ctx.Interp.rank
+
+let[@inline] check_rank t (buf : Value.buffer) =
+  if buf.rank <> t.ctx.Interp.rank then rank_error t buf
+
+(* The pointer operand of a memory op (the [VPtr] case inline; null and
+   ill-typed values raise {!Value.to_ptr}'s messages). *)
+let[@inline] ptr_of = function VPtr p -> p | v -> Value.to_ptr v
+
+(* The lane group [off + base, off + base + n) of a float buffer, for
+   the k-wide adjoint ops: the common case inline, {!Interp.fplane}
+   (which raises the interpreter's message) otherwise. *)
+let[@inline] plane who (p : ptr) ~base ~n =
+  let i = p.off + base in
+  match p.buf.data with
+  | FCells a when (not p.buf.freed) && i >= 0 && i + n <= Array.length a -> a
+  | _ -> Interp.fplane ~who p ~base ~n
+
+(* Cell [ptr.off + idx] of a buffer of [len] cells. Liveness and bounds
+   are one inline test; only an access about to fail calls
+   {!Memory.check_access}, which raises the interpreter's message
+   (use-after-free first, then bounds). [who] is [Some fname], built once
+   per compiled closure. *)
+let[@inline] cell who (ptr : ptr) len idx =
+  let i = ptr.off + idx in
+  if ptr.buf.freed || i < 0 || i >= len then
+    ignore (Memory.check_access ?who ptr idx);
+  i
 
 (* ---- taping-mode (instrument) bridge ----
 
@@ -246,8 +282,22 @@ let copy_eframe fr =
 
 (* ---- scalar semantics (identical to the interpreter's) ---- *)
 
-let fmin a b = if (a : float) <= b then a else b
-let fmax a b = if (a : float) >= b then a else b
+let[@inline] fmin a b = if (a : float) <= b then a else b
+let[@inline] fmax a b = if (a : float) >= b then a else b
+
+(* Float unary ops, for the taped closures (the untaped ones are
+   compiled one per op). *)
+let[@inline] un_float op x =
+  match op with
+  | Instr.Neg -> -.x
+  | Instr.Sqrt -> sqrt x
+  | Instr.Sin -> sin x
+  | Instr.Cos -> cos x
+  | Instr.Exp -> exp x
+  | Instr.Log -> log x
+  | Instr.Abs -> Float.abs x
+  | Instr.Floor -> Float.of_int (int_of_float (floor x))
+  | Instr.ToFloat | Instr.ToInt | Instr.Not -> assert false
 
 (* ---- lowering: slot assignment ---- *)
 
@@ -308,9 +358,9 @@ let make_cfun ~taped (fn : Func.t) =
    every path) are copied from the parent; everything else is
    write-before-read scratch whose initial contents are unobservable.
    That same unobservability lets frames be recycled: each fork site
-   parks its member frames in [thr.fcache] between executions, so a
-   steady-state fork costs O(live-in) per member instead of
-   O(function). *)
+   parks its member frames in [thr.fcache] between executions within
+   one run (one rank of one request), so a steady-state fork costs
+   O(live-in) per member instead of O(function). *)
 
 let next_fsite = Atomic.make 0
 
@@ -526,14 +576,6 @@ let ird env v : eframe -> int =
     let r = reader env v in
     fun fr -> Value.to_int (r fr)
 
-let frd env v : eframe -> float =
-  let s = slot env v in
-  match Var.ty v with
-  | Ty.Float -> fun fr -> fr.f.(s)
-  | _ ->
-    let r = reader env v in
-    fun fr -> Value.to_float (r fr)
-
 let brd env v : eframe -> bool =
   let s = slot env v in
   match Var.ty v with
@@ -542,26 +584,27 @@ let brd env v : eframe -> bool =
     let r = reader env v in
     fun fr -> Value.to_bool (r fr)
 
-(* Raw slot indices for the k-wide adjoint closures: the hot fused
-   reverse-statement ops read their ~18 arguments straight out of the
-   typed frame arrays (two loads each) instead of composing generic
-   reader closures (a [caml_apply] per argument, and a boxed float per
-   float read). The argument types are fixed by the reverse engine's
-   emission; anything else is malformed IR. *)
-let pslot env v =
+(* Raw slot indices for operands read straight out of the typed frame
+   arrays (two loads each) instead of through generic reader closures (a
+   [caml_apply] per operand, and a boxed float per float read): the
+   memory ops and the hot fused reverse-statement ops, which take ~18
+   arguments. Operand types are fixed by the verifier (memory ops) or by
+   the reverse engine's emission (adjoint intrinsics); anything else is
+   malformed IR and fails at lowering, naming [op]. *)
+let pslot ?(op = "adjoint intrinsic") env v =
   match Var.ty v with
   | Ty.Ptr _ -> slot env v
-  | t -> error "adjoint intrinsic: pointer argument has type %a" Ty.pp t
+  | t -> error "%s: pointer argument has type %a" op Ty.pp t
 
-let islot env v =
+let islot ?(op = "adjoint intrinsic") env v =
   match Var.ty v with
   | Ty.Int -> slot env v
-  | t -> error "adjoint intrinsic: int argument has type %a" Ty.pp t
+  | t -> error "%s: int argument has type %a" op Ty.pp t
 
-let fslot env v =
+let fslot ?(op = "adjoint intrinsic") env v =
   match Var.ty v with
   | Ty.Float -> slot env v
-  | t -> error "adjoint intrinsic: float argument has type %a" Ty.pp t
+  | t -> error "%s: float argument has type %a" op Ty.pp t
 
 let bslot env v =
   match Var.ty v with
@@ -636,6 +679,115 @@ let do_barrier t =
   Sim.barrier ();
   sync_in t
 
+(* ---- loop drivers ----
+
+   Top-level, so entering a block or a loop allocates no closure over
+   the running frame. *)
+
+let rec run_items (items : code array) n t fr k =
+  if k = n then Next
+  else
+    match items.(k) t fr with
+    | Next -> run_items items n t fr (k + 1)
+    | (Ret | Yld) as o -> o
+
+(* Workshare iterations [i, stop) by [step]; a return/yield ends them. *)
+let rec run_share (body : code) ivw t fr i stop step =
+  if i < stop then begin
+    charge t t.cost.Cost_model.arith;
+    ivw fr i;
+    match body t fr with
+    | Next -> run_share body ivw t fr (i + step) stop step
+    | Ret | Yld -> ()
+  end
+
+let rec run_for (body : code) ivw t fr i hi sp =
+  if i >= hi then Next
+  else begin
+    charge t t.cost.Cost_model.arith;
+    ivw fr i;
+    match try body t fr with Checkpoint.Skip_iteration -> Next with
+    | Next -> run_for body ivw t fr (i + sp) hi sp
+    | (Ret | Yld) as o -> o
+  end
+
+let rec run_while (cond : code) (body : code) t fr =
+  charge t t.cost.Cost_model.arith;
+  match cond t fr with
+  | Yld ->
+    if t.yb then begin
+      match try body t fr with Checkpoint.Skip_iteration -> Next with
+      | Next -> run_while cond body t fr
+      | (Ret | Yld) as o -> o
+    end
+    else Next
+  | Next | Ret -> error "while condition region must yield one bool"
+
+(* Free what a returning call left on its stack ([site] names the callee). *)
+let rec release_stack t site = function
+  | [] -> ()
+  | (b : Value.buffer) :: rest ->
+    if not b.freed then Memory.free ?site t.ctx.Interp.mem b;
+    release_stack t site rest
+
+(* ---- memory ops ----
+
+   Bodies of the compiled Load/Store/AtomicAdd closures, inlined into
+   each so no float crosses a call. They read the pointer and the index
+   straight from their slots [sp]/[sx] and keep the interpreter's order:
+   pointer, rank, charge, then use-after-free, then bounds ({!cell}).
+   Float buffers ([FCells]) are accessed in place; boxed [VCells] float
+   access and non-float stores go through [Memory], which carries the
+   element-type checks. [who] is the closure's [Some fname]. *)
+
+let[@inline] load_float who t fr sp sx =
+  let ptr = ptr_of fr.v.(sp) in
+  check_rank t ptr.buf;
+  charge_mem t ptr.buf;
+  let idx = fr.i.(sx) in
+  match ptr.buf.data with
+  | FCells a -> Array.unsafe_get a (cell who ptr (Array.length a) idx)
+  | VCells _ -> Value.to_float (Memory.load ?who ptr idx)
+
+(* a non-float load: the stored cell, as boxed in the buffer *)
+let[@inline] load_value who t fr sp sx =
+  let ptr = ptr_of fr.v.(sp) in
+  check_rank t ptr.buf;
+  charge_mem t ptr.buf;
+  let idx = fr.i.(sx) in
+  match ptr.buf.data with
+  | VCells a -> Array.unsafe_get a (cell who ptr (Array.length a) idx)
+  | FCells _ -> Memory.load ?who ptr idx
+
+let[@inline] store_float who t fr sp sx x =
+  let ptr = ptr_of fr.v.(sp) in
+  check_rank t ptr.buf;
+  charge_mem t ptr.buf;
+  let idx = fr.i.(sx) in
+  match ptr.buf.data with
+  | FCells a -> Array.unsafe_set a (cell who ptr (Array.length a) idx) x
+  | VCells _ -> Memory.store ?who ptr idx (VFloat x)
+
+let[@inline] store_value who t fr sp sx v =
+  let ptr = ptr_of fr.v.(sp) in
+  check_rank t ptr.buf;
+  charge_mem t ptr.buf;
+  Memory.store ?who ptr fr.i.(sx) v
+
+(* AtomicAdd charges before it touches the pointer, as the interpreter *)
+let[@inline] add_float who t fr sp sx x =
+  charge t t.cost.Cost_model.atomic;
+  let ptr = ptr_of fr.v.(sp) in
+  check_rank t ptr.buf;
+  let idx = fr.i.(sx) in
+  match ptr.buf.data with
+  | FCells a ->
+    let i = cell who ptr (Array.length a) idx in
+    Array.unsafe_set a i (Array.unsafe_get a i +. x)
+  | VCells _ ->
+    let old = Value.to_float (Memory.load ?who ptr idx) in
+    Memory.store ?who ptr idx (VFloat (old +. x))
+
 (* ---- the compiler ---- *)
 
 let rec compile_block env (body : Instr.t list) : code =
@@ -663,14 +815,7 @@ let rec compile_block env (body : Instr.t list) : code =
   match Array.length items with
   | 0 -> fun _ _ -> Next
   | 1 -> items.(0)
-  | n ->
-    fun t fr ->
-      let rec go k =
-        if k = n then Next
-        else
-          match items.(k) t fr with Next -> go (k + 1) | (Ret | Yld) as o -> o
-      in
-      go 0
+  | n -> fun t fr -> run_items items n t fr 0
 
 (* A straight-line segment: every instruction always executes exactly
    once, so the per-instruction Stats counters are batched into one
@@ -785,120 +930,61 @@ and compile_straight env (i : Instr.t) : sc =
       | VNull _ -> ()
       | _ -> error "free of non-pointer")
   | Instr.Load (v, p, ix) -> (
-    let p_rd = reader env p
-    and ix_rd = ird env ix in
-    let fname = env.fname in
+    let sp = pslot ~op:"load" env p
+    and sx = islot ~op:"load" env ix
+    and d = slot env v
+    and who = Some env.fname in
     match Var.ty v with
     | Ty.Float ->
-      let d = slot env v in
       if env.taped then fun t fr ->
-        let ptr = Value.to_ptr (p_rd fr) in
-        check_rank t ptr.buf;
-        charge_mem t ptr.buf;
-        let i = Memory.check_access ~who:fname ptr (ix_rd fr) in
-        fr.f.(d) <-
-          (match ptr.buf.data with
-          | FCells a -> Array.unsafe_get a i
-          | VCells a -> Value.to_float a.(i));
-        fr.sl.(d) <- (tape_buf_slots t ptr.buf).(i)
-      else fun t fr ->
-        let ptr = Value.to_ptr (p_rd fr) in
-        check_rank t ptr.buf;
-        charge_mem t ptr.buf;
-        let i = Memory.check_access ~who:fname ptr (ix_rd fr) in
-        fr.f.(d) <-
-          (match ptr.buf.data with
-          | FCells a -> Array.unsafe_get a i
-          | VCells a -> Value.to_float a.(i))
-    | _ ->
-      let w = writer env v in
-      fun t fr ->
-        let ptr = Value.to_ptr (p_rd fr) in
-        check_rank t ptr.buf;
-        charge_mem t ptr.buf;
-        w fr (Memory.load ~who:fname ptr (ix_rd fr)))
+        fr.f.(d) <- load_float who t fr sp sx;
+        let ptr = ptr_of fr.v.(sp) in
+        fr.sl.(d) <- (tape_buf_slots t ptr.buf).(ptr.off + fr.i.(sx))
+      else fun t fr -> fr.f.(d) <- load_float who t fr sp sx
+    | Ty.Int -> fun t fr -> fr.i.(d) <- Value.to_int (load_value who t fr sp sx)
+    | Ty.Bool ->
+      fun t fr -> fr.b.(d) <- Value.to_bool (load_value who t fr sp sx)
+    | Ty.Unit | Ty.Ptr _ -> fun t fr -> fr.v.(d) <- load_value who t fr sp sx)
   | Instr.Store (p, ix, x) -> (
-    let p_rd = reader env p
-    and ix_rd = ird env ix in
-    let fname = env.fname in
+    let sp = pslot ~op:"store" env p
+    and sx = islot ~op:"store" env ix
+    and sv = slot env x
+    and who = Some env.fname in
     match Var.ty x with
     | Ty.Float ->
-      let x_rd = frd env x in
-      if env.taped then begin
-        let sx = slot env x in
-        fun t fr ->
-          let ptr = Value.to_ptr (p_rd fr) in
-          check_rank t ptr.buf;
-          charge_mem t ptr.buf;
-          let idx = ix_rd fr in
-          let i = Memory.check_access ~who:fname ptr idx in
-          (match ptr.buf.data with
-          | FCells a -> Array.unsafe_set a i (x_rd fr)
-          | VCells _ -> Memory.store ~who:fname ptr idx (VFloat (x_rd fr)));
-          (tape_buf_slots t ptr.buf).(i) <- fr.sl.(sx)
-      end
-      else fun t fr ->
-        let ptr = Value.to_ptr (p_rd fr) in
-        check_rank t ptr.buf;
-        charge_mem t ptr.buf;
-        let idx = ix_rd fr in
-        let i = Memory.check_access ~who:fname ptr idx in
-        (match ptr.buf.data with
-        | FCells a -> Array.unsafe_set a i (x_rd fr)
-        | VCells _ -> Memory.store ~who:fname ptr idx (VFloat (x_rd fr)))
-    | _ ->
-      let x_rd = reader env x in
+      if env.taped then fun t fr ->
+        store_float who t fr sp sx fr.f.(sv);
+        let ptr = ptr_of fr.v.(sp) in
+        (tape_buf_slots t ptr.buf).(ptr.off + fr.i.(sx)) <- fr.sl.(sv)
+      else fun t fr -> store_float who t fr sp sx fr.f.(sv)
+    | Ty.Int -> fun t fr -> store_value who t fr sp sx (VInt fr.i.(sv))
+    | Ty.Bool ->
       fun t fr ->
-        let ptr = Value.to_ptr (p_rd fr) in
-        check_rank t ptr.buf;
-        charge_mem t ptr.buf;
-        let idx = ix_rd fr in
-        Memory.store ~who:fname ptr idx (x_rd fr))
+        store_value who t fr sp sx
+          (if fr.b.(sv) then VBool true else VBool false)
+    | Ty.Unit | Ty.Ptr _ -> fun t fr -> store_value who t fr sp sx fr.v.(sv))
   | Instr.Gep (v, p, ix) ->
-    let p_rd = reader env p
-    and ix_rd = ird env ix in
-    let w = writer env v in
+    let sp = pslot ~op:"gep" env p
+    and sx = islot ~op:"gep" env ix
+    and d = pslot ~op:"gep" env v in
     fun t fr -> (
       charge t t.cost.Cost_model.arith;
-      match p_rd fr with
-      | VPtr ptr -> w fr (VPtr { ptr with off = ptr.off + ix_rd fr })
+      match fr.v.(sp) with
+      | VPtr ptr -> fr.v.(d) <- VPtr { ptr with off = ptr.off + fr.i.(sx) }
       | VNull _ -> error "gep on null pointer"
       | _ -> error "gep on non-pointer")
-  | Instr.AtomicAdd (p, ix, x) when env.taped ->
-    let p_rd = reader env p
-    and ix_rd = ird env ix
-    and x_rd = frd env x in
-    let sx = slot env x in
-    let fname = env.fname in
-    fun t fr ->
-      charge t t.cost.Cost_model.atomic;
-      let ptr = Value.to_ptr (p_rd fr) in
-      check_rank t ptr.buf;
-      let idx = ix_rd fr in
-      let i = Memory.check_access ~who:fname ptr idx in
-      (match ptr.buf.data with
-      | FCells a -> Array.unsafe_set a i (Array.unsafe_get a i +. x_rd fr)
-      | VCells _ ->
-        let old = Value.to_float (Memory.load ~who:fname ptr idx) in
-        Memory.store ~who:fname ptr idx (VFloat (old +. x_rd fr)));
-      let bs = tape_buf_slots t ptr.buf in
-      bs.(i) <- record2 t bs.(i) 1.0 fr.sl.(sx) 1.0
   | Instr.AtomicAdd (p, ix, x) ->
-    let p_rd = reader env p
-    and ix_rd = ird env ix
-    and x_rd = frd env x in
-    let fname = env.fname in
-    fun t fr -> (
-      charge t t.cost.Cost_model.atomic;
-      let ptr = Value.to_ptr (p_rd fr) in
-      check_rank t ptr.buf;
-      let idx = ix_rd fr in
-      let i = Memory.check_access ~who:fname ptr idx in
-      match ptr.buf.data with
-      | FCells a -> Array.unsafe_set a i (Array.unsafe_get a i +. x_rd fr)
-      | VCells _ ->
-        let old = Value.to_float (Memory.load ~who:fname ptr idx) in
-        Memory.store ~who:fname ptr idx (VFloat (old +. x_rd fr)))
+    let sp = pslot ~op:"atomic.add" env p
+    and sx = islot ~op:"atomic.add" env ix
+    and sv = fslot ~op:"atomic.add" env x
+    and who = Some env.fname in
+    if env.taped then fun t fr ->
+      add_float who t fr sp sx fr.f.(sv);
+      let ptr = ptr_of fr.v.(sp) in
+      let bs = tape_buf_slots t ptr.buf
+      and i = ptr.off + fr.i.(sx) in
+      bs.(i) <- record2 t bs.(i) 1.0 fr.sl.(sv) 1.0
+    else fun t fr -> add_float who t fr sp sx fr.f.(sv)
   | Instr.Call (v, name, args) ->
     if String.contains name '.' then begin
       let base = compile_intrinsic env v name args in
@@ -972,24 +1058,11 @@ and compile_straight env (i : Instr.t) : sc =
       let len = max 0 (hi - lo) in
       (match schedule with
       | Instr.Chunked ->
-        let stop = lo + (len * (tid + 1) / width) in
-        let rec go i =
-          if i < stop then begin
-            charge t t.cost.Cost_model.arith;
-            ivw fr i;
-            match body_code t fr with Next -> go (i + 1) | Ret | Yld -> ()
-          end
-        in
-        go (lo + (len * tid / width))
-      | Instr.Cyclic ->
-        let rec go i =
-          if i < hi then begin
-            charge t t.cost.Cost_model.arith;
-            ivw fr i;
-            match body_code t fr with Next -> go (i + width) | Ret | Yld -> ()
-          end
-        in
-        go (lo + tid));
+        run_share body_code ivw t fr
+          (lo + (len * tid / width))
+          (lo + (len * (tid + 1) / width))
+          1
+      | Instr.Cyclic -> run_share body_code ivw t fr (lo + tid) hi width);
       if (not nowait) && width > 1 then do_barrier t
   | Instr.Fork _ when env.taped ->
     fun _ _ ->
@@ -1103,10 +1176,7 @@ and compile_fbin env v op a b : sc =
   | Instr.Pow ->
     fun t fr ->
       let r = Float.pow fr.f.(sa) fr.f.(sb) in
-      charge t
-        (if t.ctx.Interp.remat_depth > 0 then
-           t.cost.Cost_model.transcendental_remat
-         else t.cost.Cost_model.transcendental);
+      charge t (transc_cost t);
       fr.f.(d) <- r
   | Instr.Rem -> fun _ _ -> error "bad operands for %s" (Instr.binop_name op)
 
@@ -1123,28 +1193,26 @@ and compile_fbin_taped env v op a b : sc =
       let x = fr.f.(sa)
       and y = fr.f.(sb) in
       let r = Float.pow x y in
-      charge t
-        (if t.ctx.Interp.remat_depth > 0 then
-           t.cost.Cost_model.transcendental_remat
-         else t.cost.Cost_model.transcendental);
+      charge t (transc_cost t);
       fr.f.(d) <- r;
       let px, py = Interp.bin_partials op x y r in
       fr.sl.(d) <- record2 t fr.sl.(sa) px fr.sl.(sb) py
   | _ ->
-    let eval : float -> float -> float =
-      match op with
-      | Instr.Add -> ( +. )
-      | Instr.Sub -> ( -. )
-      | Instr.Mul -> ( *. )
-      | Instr.Div -> ( /. )
-      | Instr.Min -> fmin
-      | Instr.Max -> fmax
-      | Instr.Pow | Instr.Rem -> assert false
-    in
     fun t fr ->
       let x = fr.f.(sa)
       and y = fr.f.(sb) in
-      let r = eval x y in
+      (* a switch on the captured op: a [float -> float -> float] closure
+         call would box both operands and the result *)
+      let r =
+        match op with
+        | Instr.Add -> x +. y
+        | Instr.Sub -> x -. y
+        | Instr.Mul -> x *. y
+        | Instr.Div -> x /. y
+        | Instr.Min -> fmin x y
+        | Instr.Max -> fmax x y
+        | Instr.Pow | Instr.Rem -> assert false
+      in
       charge t t.cost.Cost_model.arith;
       fr.f.(d) <- r;
       let px, py = Interp.bin_partials op x y r in
@@ -1218,22 +1286,37 @@ and compile_cmp env v op a b : sc =
     fun t fr ->
       charge t t.cost.Cost_model.arith;
       fr.b.(d) <- f fr.i.(sa) fr.i.(sb)
-  | Ty.Float, Ty.Float ->
+  | Ty.Float, Ty.Float -> (
     let sa = slot env a
     and sb = slot env b in
-    (* Float.compare semantics (total order on NaN), as the interpreter *)
-    let f : float -> float -> bool =
-      match op with
-      | Instr.Eq -> fun x y -> Float.compare x y = 0
-      | Instr.Ne -> fun x y -> Float.compare x y <> 0
-      | Instr.Lt -> fun x y -> Float.compare x y < 0
-      | Instr.Le -> fun x y -> Float.compare x y <= 0
-      | Instr.Gt -> fun x y -> Float.compare x y > 0
-      | Instr.Ge -> fun x y -> Float.compare x y >= 0
-    in
-    fun t fr ->
-      charge t t.cost.Cost_model.arith;
-      fr.b.(d) <- f fr.f.(sa) fr.f.(sb)
+    (* Float.compare semantics (total order on NaN), as the interpreter;
+       the comparison stays in the closure so its operands never box *)
+    let cmp fr = Float.compare fr.f.(sa) fr.f.(sb) in
+    match op with
+    | Instr.Eq ->
+      fun t fr ->
+        charge t t.cost.Cost_model.arith;
+        fr.b.(d) <- cmp fr = 0
+    | Instr.Ne ->
+      fun t fr ->
+        charge t t.cost.Cost_model.arith;
+        fr.b.(d) <- cmp fr <> 0
+    | Instr.Lt ->
+      fun t fr ->
+        charge t t.cost.Cost_model.arith;
+        fr.b.(d) <- cmp fr < 0
+    | Instr.Le ->
+      fun t fr ->
+        charge t t.cost.Cost_model.arith;
+        fr.b.(d) <- cmp fr <= 0
+    | Instr.Gt ->
+      fun t fr ->
+        charge t t.cost.Cost_model.arith;
+        fr.b.(d) <- cmp fr > 0
+    | Instr.Ge ->
+      fun t fr ->
+        charge t t.cost.Cost_model.arith;
+        fr.b.(d) <- cmp fr >= 0)
   | Ty.Bool, Ty.Bool ->
     let sa = slot env a
     and sb = slot env b in
@@ -1254,54 +1337,69 @@ and compile_cmp env v op a b : sc =
 and compile_un env v op a : sc =
   let bad : sc = fun _ _ -> error "bad operand for %s" (Instr.unop_name op) in
   match Var.ty a, Var.ty v with
+  | Ty.Float, Ty.Float when env.taped -> (
+    let sa = slot env a
+    and d = slot env v in
+    let transc =
+      match op with
+      | Instr.Sqrt | Instr.Sin | Instr.Cos | Instr.Exp | Instr.Log -> true
+      | _ -> false
+    in
+    match op with
+    | Instr.ToFloat | Instr.ToInt | Instr.Not -> bad
+    | _ ->
+      (* a switch on the captured op ([un_float] inlined): a
+         [float -> float] closure call would box *)
+      fun t fr ->
+        let x = fr.f.(sa) in
+        let r = un_float op x in
+        charge t (if transc then transc_cost t else t.cost.Cost_model.arith);
+        fr.f.(d) <- r;
+        fr.sl.(d) <- record1 t fr.sl.(sa) (Interp.un_partial op x r))
   | Ty.Float, Ty.Float -> (
     let sa = slot env a
     and d = slot env v in
-    let transc f : sc =
-      fun t fr ->
-       let r = f fr.f.(sa) in
-       charge t
-         (if t.ctx.Interp.remat_depth > 0 then
-            t.cost.Cost_model.transcendental_remat
-          else t.cost.Cost_model.transcendental);
-       fr.f.(d) <- r
-    in
-    let plain f : sc =
-      fun t fr ->
-       let r = f fr.f.(sa) in
-       charge t t.cost.Cost_model.arith;
-       fr.f.(d) <- r
-    in
-    let transc_taped f : sc =
-      fun t fr ->
-       let x = fr.f.(sa) in
-       let r = f x in
-       charge t
-         (if t.ctx.Interp.remat_depth > 0 then
-            t.cost.Cost_model.transcendental_remat
-          else t.cost.Cost_model.transcendental);
-       fr.f.(d) <- r;
-       fr.sl.(d) <- record1 t fr.sl.(sa) (Interp.un_partial op x r)
-    in
-    let plain_taped f : sc =
-      fun t fr ->
-       let x = fr.f.(sa) in
-       let r = f x in
-       charge t t.cost.Cost_model.arith;
-       fr.f.(d) <- r;
-       fr.sl.(d) <- record1 t fr.sl.(sa) (Interp.un_partial op x r)
-    in
-    let transc = if env.taped then transc_taped else transc
-    and plain = if env.taped then plain_taped else plain in
     match op with
-    | Instr.Neg -> plain (fun x -> -.x)
-    | Instr.Sqrt -> transc sqrt
-    | Instr.Sin -> transc sin
-    | Instr.Cos -> transc cos
-    | Instr.Exp -> transc exp
-    | Instr.Log -> transc log
-    | Instr.Abs -> plain Float.abs
-    | Instr.Floor -> plain (fun x -> Float.of_int (int_of_float (floor x)))
+    | Instr.Neg ->
+      fun t fr ->
+        let r = -.fr.f.(sa) in
+        charge t t.cost.Cost_model.arith;
+        fr.f.(d) <- r
+    | Instr.Abs ->
+      fun t fr ->
+        let r = Float.abs fr.f.(sa) in
+        charge t t.cost.Cost_model.arith;
+        fr.f.(d) <- r
+    | Instr.Floor ->
+      fun t fr ->
+        let r = Float.of_int (int_of_float (floor fr.f.(sa))) in
+        charge t t.cost.Cost_model.arith;
+        fr.f.(d) <- r
+    | Instr.Sqrt ->
+      fun t fr ->
+        let r = sqrt fr.f.(sa) in
+        charge t (transc_cost t);
+        fr.f.(d) <- r
+    | Instr.Sin ->
+      fun t fr ->
+        let r = sin fr.f.(sa) in
+        charge t (transc_cost t);
+        fr.f.(d) <- r
+    | Instr.Cos ->
+      fun t fr ->
+        let r = cos fr.f.(sa) in
+        charge t (transc_cost t);
+        fr.f.(d) <- r
+    | Instr.Exp ->
+      fun t fr ->
+        let r = exp fr.f.(sa) in
+        charge t (transc_cost t);
+        fr.f.(d) <- r
+    | Instr.Log ->
+      fun t fr ->
+        let r = log fr.f.(sa) in
+        charge t (transc_cost t);
+        fr.f.(d) <- r
     | Instr.ToFloat | Instr.ToInt | Instr.Not -> bad)
   | Ty.Int, Ty.Int -> (
     let sa = slot env a
@@ -1374,39 +1472,13 @@ and compile_ctrl env (i : Instr.t) : code =
       and hi = hi_rd fr
       and sp = sp_rd fr in
       if sp <= 0 then error "for with non-positive step %d" sp;
-      let rec go i =
-        if i >= hi then Next
-        else begin
-          charge t t.cost.Cost_model.arith;
-          ivw fr i;
-          match
-            try body_code t fr with Checkpoint.Skip_iteration -> Next
-          with
-          | Next -> go (i + sp)
-          | (Ret | Yld) as o -> o
-        end
-      in
-      go lo
+      run_for body_code ivw t fr lo hi sp
   | Instr.While { cond; body } ->
     let cond_code = compile_block { env with ydest = YCond } cond.Instr.body in
     let body_code = compile_block env body.Instr.body in
     fun t fr ->
       t.st.Stats.instrs <- t.st.Stats.instrs + 1;
-      let rec go () =
-        charge t t.cost.Cost_model.arith;
-        match cond_code t fr with
-        | Yld ->
-          if t.yb then begin
-            match
-              try body_code t fr with Checkpoint.Skip_iteration -> Next
-            with
-            | Next -> go ()
-            | (Ret | Yld) as o -> o
-          end
-          else Next
-        | Next | Ret -> error "while condition region must yield one bool"
-      in
-      go ()
+      run_while cond_code body_code t fr
   | Instr.Return None ->
     if env.taped then fun t _fr ->
       t.st.Stats.instrs <- t.st.Stats.instrs + 1;
@@ -1466,7 +1538,9 @@ and compile_ctrl env (i : Instr.t) : code =
         let moves = Array.of_list (List.map2 (xmove env) vs results) in
         fun t fr ->
           t.st.Stats.instrs <- t.st.Stats.instrs + 1;
-          Array.iter (fun mv -> mv fr) moves;
+          for k = 0 to Array.length moves - 1 do
+            (Array.unsafe_get moves k) fr
+          done;
           Yld
       end)
   | _ -> assert false
@@ -1537,7 +1611,7 @@ and compile_intrinsic env v name args : sc =
            else t.cost.Cost_model.cache_op);
         t.st.Stats.cache_stores <- t.st.Stats.cache_stores + 1;
         let before = Cache_rt.cells_written cache in
-        Cache_rt.set_f_c cache c ~id ~idx:fr.i.(s_idx) fr.f.(s_x);
+        Cache_rt.set_f_c cache c ~id ~idx:fr.i.(s_idx) fr.f s_x;
         if Cache_rt.cells_written cache > before then begin
           t.st.Stats.cache_cells <- t.st.Stats.cache_cells + 1;
           let peak = Cache_rt.peak_cells cache in
@@ -1581,9 +1655,10 @@ and compile_intrinsic env v name args : sc =
           (if Cache_rt.is_floats c then t.cost.Cost_model.mem
            else t.cost.Cost_model.cache_op);
         t.st.Stats.cache_loads <- t.st.Stats.cache_loads + 1;
-        let r = Cache_rt.get_f_c cache c ~id ~idx:fr.i.(s_idx) in
-        eng_apply_flips t;
-        fr.f.(d) <- r
+        (* the read lands before the flip hook runs, as in the
+           interpreter: a flip injected here corrupts later reads *)
+        Cache_rt.get_f_c cache c ~id ~idx:fr.i.(s_idx) fr.f d;
+        eng_apply_flips t
     | _ ->
       fun t fr ->
         charge t t.cost.Cost_model.arith;
@@ -1620,20 +1695,20 @@ and compile_intrinsic env v name args : sc =
      batched plans. Per-lane arithmetic matches the scalar emission op
      for op — the bit-identity contract of a batched lane. *)
   | "adj.take_k", [ scr; host; voff; k ] ->
-    let scr_rd = reader env scr
-    and host_rd = reader env host
-    and voff_rd = ird env voff
-    and k_rd = ird env k in
+    let s_scr = pslot env scr
+    and s_host = pslot env host
+    and s_voff = islot env voff
+    and s_k = islot env k in
     let fname = env.fname in
-    let w = writer env v in
+    let s_v = slot env v in
     fun t fr ->
       charge t t.cost.Cost_model.arith;
-      let scr = Value.to_ptr (scr_rd fr) in
-      let host = Value.to_ptr (host_rd fr) in
-      let voff = voff_rd fr
-      and k = k_rd fr in
-      let sa = Interp.fplane ~who:fname scr ~base:0 ~n:k in
-      let ha = Interp.fplane ~who:fname host ~base:voff ~n:k in
+      let scr = ptr_of fr.v.(s_scr) in
+      let host = ptr_of fr.v.(s_host) in
+      let voff = fr.i.(s_voff)
+      and k = fr.i.(s_k) in
+      let sa = plane fname scr ~base:0 ~n:k in
+      let ha = plane fname host ~base:voff ~n:k in
       let so = scr.off
       and ho = host.off + voff in
       for l = 0 to k - 1 do
@@ -1641,41 +1716,39 @@ and compile_intrinsic env v name args : sc =
         Array.unsafe_set ha (ho + l) 0.0
       done;
       charge_mem_n t host.buf (2 * k);
-      w fr VUnit
+      fr.v.(s_v) <- VUnit
   | "adj.acc_k", [ host; xoff; scr; mode; c1; c2; cond; atomic; k ] ->
-    let host_rd = reader env host
-    and xoff_rd = ird env xoff
-    and scr_rd = reader env scr
-    and mode_rd = ird env mode
-    and c1_rd = frd env c1
-    and c2_rd = frd env c2
-    and cond_rd = brd env cond
-    and atomic_rd = ird env atomic
-    and k_rd = ird env k in
+    let s_host = pslot env host
+    and s_xoff = islot env xoff
+    and s_scr = pslot env scr
+    and s_mode = islot env mode
+    and s_c1 = fslot env c1
+    and s_c2 = fslot env c2
+    and s_cond = bslot env cond
+    and s_at = islot env atomic
+    and s_k = islot env k in
     let fname = env.fname in
-    let w = writer env v in
+    let s_v = slot env v in
     fun t fr ->
       charge t t.cost.Cost_model.arith;
-      let host = Value.to_ptr (host_rd fr) in
-      let scr = Value.to_ptr (scr_rd fr) in
-      let xoff = xoff_rd fr
-      and mode = mode_rd fr
-      and c1 = c1_rd fr
-      and c2 = c2_rd fr
-      and cond = cond_rd fr
-      and atomic = atomic_rd fr <> 0
-      and k = k_rd fr in
-      let ha = Interp.fplane ~who:fname host ~base:xoff ~n:k in
-      let sa = Interp.fplane ~who:fname scr ~base:0 ~n:k in
+      let host = ptr_of fr.v.(s_host) in
+      let scr = ptr_of fr.v.(s_scr) in
+      let xoff = fr.i.(s_xoff)
+      and mode = fr.i.(s_mode)
+      and k = fr.i.(s_k) in
+      let ha = plane fname host ~base:xoff ~n:k in
+      let sa = plane fname scr ~base:0 ~n:k in
       let ho = host.off + xoff
       and so = scr.off in
-      Interp.adj_acc_lanes ~mode ~c1 ~c2 ~cond ha ho sa so k;
+      Interp.adj_acc_lanes ~mode fr.f ~i1:s_c1 ~i2:s_c2
+        ~cond:fr.b.(s_cond) ha ho sa so k;
       charge t
         (t.cost.Cost_model.arith
         *. float_of_int (k * (Interp.adj_mode_flops mode + 1)));
-      if atomic then charge t (t.cost.Cost_model.atomic *. float_of_int k)
+      if fr.i.(s_at) <> 0 then
+        charge t (t.cost.Cost_model.atomic *. float_of_int k)
       else charge_mem_n t host.buf (2 * k);
-      w fr VUnit
+      fr.v.(s_v) <- VUnit
   | "adj.rev1_k", [ scr; vhost; voff; h1; o1; m1; c11; c12; cnd1; at1; k ]
     ->
     (* Fused reverse statement, one operand: take + acc in one dispatch
@@ -1695,12 +1768,12 @@ and compile_intrinsic env v name args : sc =
     let s_v = slot env v in
     fun t fr ->
       charge t t.cost.Cost_model.arith;
-      let scr = Value.to_ptr fr.v.(s_scr) in
-      let vhost = Value.to_ptr fr.v.(s_vh) in
+      let scr = ptr_of fr.v.(s_scr) in
+      let vhost = ptr_of fr.v.(s_vh) in
       let voff = fr.i.(s_voff)
       and k = fr.i.(s_k) in
-      let sa = Interp.fplane ~who:fname scr ~base:0 ~n:k in
-      let ha = Interp.fplane ~who:fname vhost ~base:voff ~n:k in
+      let sa = plane fname scr ~base:0 ~n:k in
+      let ha = plane fname vhost ~base:voff ~n:k in
       let so = scr.off
       and ho = vhost.off + voff in
       for l = 0 to k - 1 do
@@ -1708,11 +1781,11 @@ and compile_intrinsic env v name args : sc =
         Array.unsafe_set ha (ho + l) 0.0
       done;
       charge_mem_n t vhost.buf (2 * k);
-      let h1 = Value.to_ptr fr.v.(s_h1) in
+      let h1 = ptr_of fr.v.(s_h1) in
       let o1 = fr.i.(s_o1)
       and m1 = fr.i.(s_m1) in
-      let aa = Interp.fplane ~who:fname h1 ~base:o1 ~n:k in
-      Interp.adj_acc_lanes ~mode:m1 ~c1:fr.f.(s_c11) ~c2:fr.f.(s_c12)
+      let aa = plane fname h1 ~base:o1 ~n:k in
+      Interp.adj_acc_lanes ~mode:m1 fr.f ~i1:s_c11 ~i2:s_c12
         ~cond:fr.b.(s_cnd1) aa (h1.off + o1) sa so k;
       charge t
         (t.cost.Cost_model.arith
@@ -1749,12 +1822,12 @@ and compile_intrinsic env v name args : sc =
     let s_v = slot env v in
     fun t fr ->
       charge t t.cost.Cost_model.arith;
-      let scr = Value.to_ptr fr.v.(s_scr) in
-      let vhost = Value.to_ptr fr.v.(s_vh) in
+      let scr = ptr_of fr.v.(s_scr) in
+      let vhost = ptr_of fr.v.(s_vh) in
       let voff = fr.i.(s_voff)
       and k = fr.i.(s_k) in
-      let sa = Interp.fplane ~who:fname scr ~base:0 ~n:k in
-      let ha = Interp.fplane ~who:fname vhost ~base:voff ~n:k in
+      let sa = plane fname scr ~base:0 ~n:k in
+      let ha = plane fname vhost ~base:voff ~n:k in
       let so = scr.off
       and ho = vhost.off + voff in
       for l = 0 to k - 1 do
@@ -1762,11 +1835,11 @@ and compile_intrinsic env v name args : sc =
         Array.unsafe_set ha (ho + l) 0.0
       done;
       charge_mem_n t vhost.buf (2 * k);
-      let h1 = Value.to_ptr fr.v.(s_h1) in
+      let h1 = ptr_of fr.v.(s_h1) in
       let o1 = fr.i.(s_o1)
       and m1 = fr.i.(s_m1) in
-      let aa = Interp.fplane ~who:fname h1 ~base:o1 ~n:k in
-      Interp.adj_acc_lanes ~mode:m1 ~c1:fr.f.(s_c11) ~c2:fr.f.(s_c12)
+      let aa = plane fname h1 ~base:o1 ~n:k in
+      Interp.adj_acc_lanes ~mode:m1 fr.f ~i1:s_c11 ~i2:s_c12
         ~cond:fr.b.(s_cnd1) aa (h1.off + o1) sa so k;
       charge t
         (t.cost.Cost_model.arith
@@ -1774,11 +1847,11 @@ and compile_intrinsic env v name args : sc =
       if fr.i.(s_at1) <> 0 then
         charge t (t.cost.Cost_model.atomic *. float_of_int k)
       else charge_mem_n t h1.buf (2 * k);
-      let h2 = Value.to_ptr fr.v.(s_h2) in
+      let h2 = ptr_of fr.v.(s_h2) in
       let o2 = fr.i.(s_o2)
       and m2 = fr.i.(s_m2) in
-      let ba = Interp.fplane ~who:fname h2 ~base:o2 ~n:k in
-      Interp.adj_acc_lanes ~mode:m2 ~c1:fr.f.(s_c21) ~c2:fr.f.(s_c22)
+      let ba = plane fname h2 ~base:o2 ~n:k in
+      Interp.adj_acc_lanes ~mode:m2 fr.f ~i1:s_c21 ~i2:s_c22
         ~cond:fr.b.(s_cnd2) ba (h2.off + o2) sa so k;
       charge t
         (t.cost.Cost_model.arith
@@ -1800,12 +1873,12 @@ and compile_intrinsic env v name args : sc =
     let s_v = slot env v in
     fun t fr ->
       charge t t.cost.Cost_model.arith;
-      let scr = Value.to_ptr fr.v.(s_scr) in
-      let vhost = Value.to_ptr fr.v.(s_vh) in
+      let scr = ptr_of fr.v.(s_scr) in
+      let vhost = ptr_of fr.v.(s_vh) in
       let voff = fr.i.(s_voff)
       and k = fr.i.(s_k) in
-      let sa = Interp.fplane ~who:fname scr ~base:0 ~n:k in
-      let ha = Interp.fplane ~who:fname vhost ~base:voff ~n:k in
+      let sa = plane fname scr ~base:0 ~n:k in
+      let ha = plane fname vhost ~base:voff ~n:k in
       let so = scr.off
       and ho = vhost.off + voff in
       for l = 0 to k - 1 do
@@ -1813,9 +1886,9 @@ and compile_intrinsic env v name args : sc =
         Array.unsafe_set ha (ho + l) 0.0
       done;
       charge_mem_n t vhost.buf (2 * k);
-      let sp = Value.to_ptr fr.v.(s_sp) in
+      let sp = ptr_of fr.v.(s_sp) in
       let mb = fr.i.(s_mb) in
-      let pa = Interp.fplane ~who:fname sp ~base:mb ~n:k in
+      let pa = plane fname sp ~base:mb ~n:k in
       let po = sp.off + mb in
       for l = 0 to k - 1 do
         Array.unsafe_set pa (po + l)
@@ -1842,12 +1915,12 @@ and compile_intrinsic env v name args : sc =
     let s_v = slot env v in
     fun t fr ->
       charge t t.cost.Cost_model.arith;
-      let scr = Value.to_ptr fr.v.(s_scr) in
-      let sp = Value.to_ptr fr.v.(s_sp) in
+      let scr = ptr_of fr.v.(s_scr) in
+      let sp = ptr_of fr.v.(s_sp) in
       let mb = fr.i.(s_mb)
       and k = fr.i.(s_k) in
-      let sa = Interp.fplane ~who:fname scr ~base:0 ~n:k in
-      let pa = Interp.fplane ~who:fname sp ~base:mb ~n:k in
+      let sa = plane fname scr ~base:0 ~n:k in
+      let pa = plane fname sp ~base:mb ~n:k in
       let so = scr.off
       and po = sp.off + mb in
       if zero then begin
@@ -1863,10 +1936,11 @@ and compile_intrinsic env v name args : sc =
         done;
         charge_mem_n t sp.buf k
       end;
-      let h1 = Value.to_ptr fr.v.(s_h1) in
+      let h1 = ptr_of fr.v.(s_h1) in
       let o1 = fr.i.(s_o1) in
-      let aa = Interp.fplane ~who:fname h1 ~base:o1 ~n:k in
-      Interp.adj_acc_lanes ~mode:0 ~c1:0.0 ~c2:0.0 ~cond:false aa
+      let aa = plane fname h1 ~base:o1 ~n:k in
+      (* mode 0 reads no coefficient *)
+      Interp.adj_acc_lanes ~mode:0 fr.f ~i1:0 ~i2:0 ~cond:false aa
         (h1.off + o1) sa so k;
       charge t (t.cost.Cost_model.arith *. float_of_int k);
       if fr.i.(s_at1) <> 0 then
@@ -1874,96 +1948,84 @@ and compile_intrinsic env v name args : sc =
       else charge_mem_n t h1.buf (2 * k);
       fr.v.(s_v) <- VUnit
   | "adj.macc_k", [ sp; mb; scr; atomic; k ] ->
-    let sp_rd = reader env sp
-    and mb_rd = ird env mb
-    and scr_rd = reader env scr
-    and atomic_rd = ird env atomic
-    and k_rd = ird env k in
+    let s_sp = pslot env sp
+    and s_mb = islot env mb
+    and s_scr = pslot env scr
+    and s_at = islot env atomic
+    and s_k = islot env k in
     let fname = env.fname in
-    let w = writer env v in
+    let s_v = slot env v in
     fun t fr ->
       charge t t.cost.Cost_model.arith;
-      let sp = Value.to_ptr (sp_rd fr) in
-      let scr = Value.to_ptr (scr_rd fr) in
-      let mb = mb_rd fr
-      and atomic = atomic_rd fr <> 0
-      and k = k_rd fr in
-      let pa = Interp.fplane ~who:fname sp ~base:mb ~n:k in
-      let sa = Interp.fplane ~who:fname scr ~base:0 ~n:k in
+      let sp = ptr_of fr.v.(s_sp) in
+      let scr = ptr_of fr.v.(s_scr) in
+      let mb = fr.i.(s_mb)
+      and k = fr.i.(s_k) in
+      let pa = plane fname sp ~base:mb ~n:k in
+      let sa = plane fname scr ~base:0 ~n:k in
       let po = sp.off + mb
       and so = scr.off in
       for l = 0 to k - 1 do
         Array.unsafe_set pa (po + l)
           (Array.unsafe_get pa (po + l) +. Array.unsafe_get sa (so + l))
       done;
-      if atomic then charge t (t.cost.Cost_model.atomic *. float_of_int k)
+      if fr.i.(s_at) <> 0 then
+        charge t (t.cost.Cost_model.atomic *. float_of_int k)
       else begin
         charge t (t.cost.Cost_model.arith *. float_of_int k);
         charge_mem_n t sp.buf (2 * k)
       end;
-      w fr VUnit
-  | "adj.mtake_k", [ sp; mb; scr; k ] ->
-    let sp_rd = reader env sp
-    and mb_rd = ird env mb
-    and scr_rd = reader env scr
-    and k_rd = ird env k in
+      fr.v.(s_v) <- VUnit
+  | ("adj.mtake_k" | "adj.mread_k"), [ sp; mb; scr; k ] ->
+    (* shadow plane -> scratch; the take also zeroes the plane *)
+    let zero = name = "adj.mtake_k" in
+    let s_sp = pslot env sp
+    and s_mb = islot env mb
+    and s_scr = pslot env scr
+    and s_k = islot env k in
     let fname = env.fname in
-    let w = writer env v in
+    let s_v = slot env v in
     fun t fr ->
       charge t t.cost.Cost_model.arith;
-      let sp = Value.to_ptr (sp_rd fr) in
-      let scr = Value.to_ptr (scr_rd fr) in
-      let mb = mb_rd fr
-      and k = k_rd fr in
-      let pa = Interp.fplane ~who:fname sp ~base:mb ~n:k in
-      let sa = Interp.fplane ~who:fname scr ~base:0 ~n:k in
+      let sp = ptr_of fr.v.(s_sp) in
+      let scr = ptr_of fr.v.(s_scr) in
+      let mb = fr.i.(s_mb)
+      and k = fr.i.(s_k) in
+      let pa = plane fname sp ~base:mb ~n:k in
+      let sa = plane fname scr ~base:0 ~n:k in
       let po = sp.off + mb
       and so = scr.off in
-      for l = 0 to k - 1 do
-        Array.unsafe_set sa (so + l) (Array.unsafe_get pa (po + l));
-        Array.unsafe_set pa (po + l) 0.0
-      done;
-      charge_mem_n t sp.buf (2 * k);
-      w fr VUnit
-  | "adj.mread_k", [ sp; mb; scr; k ] ->
-    let sp_rd = reader env sp
-    and mb_rd = ird env mb
-    and scr_rd = reader env scr
-    and k_rd = ird env k in
-    let fname = env.fname in
-    let w = writer env v in
-    fun t fr ->
-      charge t t.cost.Cost_model.arith;
-      let sp = Value.to_ptr (sp_rd fr) in
-      let scr = Value.to_ptr (scr_rd fr) in
-      let mb = mb_rd fr
-      and k = k_rd fr in
-      let pa = Interp.fplane ~who:fname sp ~base:mb ~n:k in
-      let sa = Interp.fplane ~who:fname scr ~base:0 ~n:k in
-      let po = sp.off + mb
-      and so = scr.off in
-      for l = 0 to k - 1 do
-        Array.unsafe_set sa (so + l) (Array.unsafe_get pa (po + l))
-      done;
-      charge_mem_n t sp.buf k;
-      w fr VUnit
+      if zero then begin
+        for l = 0 to k - 1 do
+          Array.unsafe_set sa (so + l) (Array.unsafe_get pa (po + l));
+          Array.unsafe_set pa (po + l) 0.0
+        done;
+        charge_mem_n t sp.buf (2 * k)
+      end
+      else begin
+        for l = 0 to k - 1 do
+          Array.unsafe_set sa (so + l) (Array.unsafe_get pa (po + l))
+        done;
+        charge_mem_n t sp.buf k
+      end;
+      fr.v.(s_v) <- VUnit
   | "adj.pack_k", [ dst; doff; src; soff; k ] ->
-    let dst_rd = reader env dst
-    and doff_rd = ird env doff
-    and src_rd = reader env src
-    and soff_rd = ird env soff
-    and k_rd = ird env k in
+    let s_dst = pslot env dst
+    and s_doff = islot env doff
+    and s_src = pslot env src
+    and s_soff = islot env soff
+    and s_k = islot env k in
     let fname = env.fname in
-    let w = writer env v in
+    let s_v = slot env v in
     fun t fr ->
       charge t t.cost.Cost_model.arith;
-      let dst = Value.to_ptr (dst_rd fr) in
-      let src = Value.to_ptr (src_rd fr) in
-      let doff = doff_rd fr
-      and soff = soff_rd fr
-      and k = k_rd fr in
-      let da = Interp.fplane ~who:fname dst ~base:doff ~n:k in
-      let sa = Interp.fplane ~who:fname src ~base:soff ~n:k in
+      let dst = ptr_of fr.v.(s_dst) in
+      let src = ptr_of fr.v.(s_src) in
+      let doff = fr.i.(s_doff)
+      and soff = fr.i.(s_soff)
+      and k = fr.i.(s_k) in
+      let da = plane fname dst ~base:doff ~n:k in
+      let sa = plane fname src ~base:soff ~n:k in
       let d0 = dst.off + doff
       and s0 = src.off + soff in
       for l = 0 to k - 1 do
@@ -1971,7 +2033,7 @@ and compile_intrinsic env v name args : sc =
       done;
       charge_mem_n t dst.buf k;
       charge_mem_n t src.buf k;
-      w fr VUnit
+      fr.v.(s_v) <- VUnit
   | ("parad.checkpoint" | "parad.checkpoint_rev"), _ ->
     (* No-session checkpoint sites cost one arith op and touch nothing;
        only live sessions (take/restore/fast-forward) go through the
@@ -1987,7 +2049,8 @@ and compile_intrinsic env v name args : sc =
 
 (* Any other intrinsic (MPI, checkpoint, GC, AD shadows, ...) delegates to
    the interpreter's implementation, bridging the strand clock and the
-   synthetic frame stack. *)
+   synthetic frame stack. Each execution counts one [Stats.eng_fallbacks]
+   and allocates its argument list. *)
 and delegate env v name args : sc =
   let readers = List.map (reader env) args in
   let w = writer env v in
@@ -2055,6 +2118,7 @@ and build_ucall env v name args : sc =
           Array.of_list (List.map2 (arg_move env cf) f.Func.params args)
         in
         let ret_unit = Ty.equal f.Func.ret_ty Ty.Unit in
+        let site = Some name in
         let w = writer env v in
         let w =
           if env.taped && Ty.equal (Var.ty v) Ty.Float then begin
@@ -2069,7 +2133,9 @@ and build_ucall env v name args : sc =
           charge t t.cost.Cost_model.call;
           t.st.Stats.calls <- t.st.Stats.calls + 1;
           let nfr = new_eframe cf fr.istack in
-          Array.iter (fun mv -> mv fr nfr) moves;
+          for k = 0 to Array.length moves - 1 do
+            (Array.unsafe_get moves k) fr nfr
+          done;
           (* the interpreter gives each call a fresh team-less ectx; the
              engine's thr is shared, so save/restore — exception-protected
              because Skip_iteration legitimately crosses call frames *)
@@ -2084,10 +2150,7 @@ and build_ucall env v name args : sc =
               t.team <- saved;
               raise ex
           in
-          List.iter
-            (fun (b : Value.buffer) ->
-              if not b.freed then Memory.free ~site:name t.ctx.Interp.mem b)
-            !(nfr.stack_allocs);
+          release_stack t site !(nfr.stack_allocs);
           match out with
           | Ret -> w fr t
           | Next when ret_unit ->
@@ -2157,10 +2220,7 @@ and call_boxed prep ?(taped = false) ?(slots = []) t name
         t.team <- saved;
         raise ex
     in
-    List.iter
-      (fun (b : Value.buffer) ->
-        if not b.freed then Memory.free ~site:name t.ctx.Interp.mem b)
-      !(nfr.stack_allocs);
+    release_stack t (Some name) !(nfr.stack_allocs);
     match out with
     | Ret -> t.retv
     | Next when Ty.equal f.Func.ret_ty Ty.Unit ->
@@ -2184,8 +2244,11 @@ let choice_to_string = function Interp -> "interp" | Seq -> "seq"
     uninstrumented runs). Instrumented (taped) runs compile through the
     taping-mode function table and stay engine-resident; contexts the
     engine cannot replicate bit-exactly (sanitizers, instruction budgets)
-    fall back to the interpreter wholesale — and are counted in
-    [Stats.eng_fallbacks]. *)
+    fall back to the interpreter wholesale. [Stats.eng_fallbacks] counts
+    each such wholesale fallback and also every execution of an
+    intrinsic handed to the interpreter ({!delegate}: MPI calls, live
+    checkpoint sessions, ...), so a clean MPI run reports a nonzero
+    count. Member frames parked in [fcache] live for this call only. *)
 let exec_call_slots prep (ctx : Interp.ctx) fname args slots : Value.t * int =
   let taped =
     match ctx.Interp.instrument with Some _ -> true | None -> false

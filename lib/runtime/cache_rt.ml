@@ -363,15 +363,22 @@ let get t ~id ~idx =
 (* Unboxed fast paths for the execution engine: same semantics (growth,
    occupancy, seal interaction, error messages) as {!set}/{!get} on a
    [Floats] cache without boxing the value; [Boxed] storage falls back to
-   the boxed entry points. *)
+   the boxed entry points. The value moves between the cache and a float
+   register file ([src.(s)] / [dst.(d)]) rather than through a [float]
+   argument or result, which a call from another module boxes. The
+   record is resolved once by the caller ({!get_cache}) and reused for
+   its representation test and the access. *)
 
-(* Record-level entry points ([_c]): the execution engine resolves the
-   cache record once per compiled call and reuses it for the
-   representation test, the write and the read — {!set_f}/{!get_f} are
-   these plus a {!get_cache}. *)
-let set_f_c t c ~id ~idx x =
+let[@inline] write_f t c cells written idx x =
+  if Bytes.get written idx = '\000' then begin
+    note_written t c;
+    Bytes.set written idx '\001'
+  end;
+  cells.(idx) <- x
+
+let set_f_c t c ~id ~idx (src : float array) s =
   match c.s with
-  | Boxed _ -> set t ~id ~idx (VFloat x)
+  | Boxed _ -> set t ~id ~idx (VFloat src.(s))
   | Floats (cells, written) ->
     if idx < 0 then error "cache: negative index %d" idx;
     (match c.seal with
@@ -379,29 +386,20 @@ let set_f_c t c ~id ~idx x =
       c.seal <- None
     | _ -> ());
     let n = Array.length cells in
-    let cells, written =
-      if idx >= n then begin
-        let m = max (2 * n) (idx + 1) in
-        let bigger = Array.make m 0.0 in
-        Array.blit cells 0 bigger 0 n;
-        let wbigger = Bytes.make m '\000' in
-        Bytes.blit written 0 wbigger 0 n;
-        c.s <- Floats (bigger, wbigger);
-        bigger, wbigger
-      end
-      else cells, written
-    in
-    if Bytes.get written idx = '\000' then begin
-      note_written t c;
-      Bytes.set written idx '\001'
-    end;
-    cells.(idx) <- x
+    if idx < n then write_f t c cells written idx src.(s)
+    else begin
+      let m = max (2 * n) (idx + 1) in
+      let bigger = Array.make m 0.0 in
+      Array.blit cells 0 bigger 0 n;
+      let wbigger = Bytes.make m '\000' in
+      Bytes.blit written 0 wbigger 0 n;
+      c.s <- Floats (bigger, wbigger);
+      write_f t c bigger wbigger idx src.(s)
+    end
 
-let set_f t ~id ~idx x = set_f_c t (get_cache t id) ~id ~idx x
-
-let get_f_c t c ~id ~idx =
+let get_f_c t c ~id ~idx (dst : float array) d =
   match c.s with
-  | Boxed _ -> Value.to_float (get t ~id ~idx)
+  | Boxed _ -> dst.(d) <- Value.to_float (get t ~id ~idx)
   | Floats (cells, written) ->
     if t.protect && c.seal = None && c.nwritten > 0 then
       c.seal <- Some (seal_cache c);
@@ -409,9 +407,7 @@ let get_f_c t c ~id ~idx =
       error "cache %d: index %d out of range" id idx;
     if Bytes.get written idx = '\000' then
       error "cache %d: slot %d read before write" id idx;
-    cells.(idx)
-
-let get_f t ~id ~idx = get_f_c t (get_cache t id) ~id ~idx
+    dst.(d) <- cells.(idx)
 
 let is_floats c = match c.s with Floats _ -> true | Boxed _ -> false
 

@@ -246,9 +246,14 @@ let fplane ~who (p : Value.ptr) ~base ~n =
    bit-identical by construction. Modes 7/8/9 skip (or negate) the add
    instead of adding a selected 0.0: adjoint cells start at +0.0 and
    [+0.0 +. x] never yields -0.0, so an accumulated plane never holds
-   -0.0 and skipping an add-of-zero is bitwise-neutral. *)
-let adj_acc_lanes ~mode ~c1 ~c2 ~cond (ha : float array) ho
-    (sa : float array) so k =
+   -0.0 and skipping an add-of-zero is bitwise-neutral. The lane
+   coefficients are [coefs.(i1)] and [coefs.(i2)]: the engine passes its
+   float register file and two slots, since a [float] argument of a call
+   from another module is boxed. *)
+let adj_acc_lanes ~mode (coefs : float array) ~i1 ~i2 ~cond
+    (ha : float array) ho (sa : float array) so k =
+  let c1 = coefs.(i1)
+  and c2 = coefs.(i2) in
   let n = k - 1 in
   match mode with
   | 0 ->
@@ -1167,7 +1172,7 @@ and intrinsic ctx e name args vals : Value.t * int =
     let ha = fplane ~who:e.fname host ~base:xoff ~n:k in
     let sa = fplane ~who:e.fname scr ~base:0 ~n:k in
     let ho = host.off + xoff and so = scr.off in
-    adj_acc_lanes ~mode ~c1 ~c2 ~cond ha ho sa so k;
+    adj_acc_lanes ~mode [| c1; c2 |] ~i1:0 ~i2:1 ~cond ha ho sa so k;
     charge (c.arith *. float_of_int (k * (adj_mode_flops mode + 1)));
     if atomic then charge (c.atomic *. float_of_int k)
     else charge_mem ctx host.buf (2 * k);
@@ -1200,7 +1205,8 @@ and intrinsic ctx e name args vals : Value.t * int =
       let cond = to_bool (List.nth vals (base + 5)) in
       let atomic = int_arg (base + 6) <> 0 in
       let aa = fplane ~who:e.fname host ~base:xoff ~n:k in
-      adj_acc_lanes ~mode ~c1 ~c2 ~cond aa (host.off + xoff) sa so k;
+      adj_acc_lanes ~mode [| c1; c2 |] ~i1:0 ~i2:1 ~cond aa (host.off + xoff)
+        sa so k;
       charge (c.arith *. float_of_int (k * (adj_mode_flops mode + 1)));
       if atomic then charge (c.atomic *. float_of_int k)
       else charge_mem ctx host.buf (2 * k)
@@ -1259,8 +1265,8 @@ and intrinsic ctx e name args vals : Value.t * int =
       charge_mem ctx sp.buf k
     end;
     let aa = fplane ~who:e.fname h1 ~base:o1 ~n:k in
-    adj_acc_lanes ~mode:0 ~c1:0.0 ~c2:0.0 ~cond:false aa (h1.off + o1) sa
-      so k;
+    adj_acc_lanes ~mode:0 [| 0.0 |] ~i1:0 ~i2:0 ~cond:false aa (h1.off + o1)
+      sa so k;
     charge (c.arith *. float_of_int k);
     if atomic then charge (c.atomic *. float_of_int k)
     else charge_mem ctx h1.buf (2 * k);

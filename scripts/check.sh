@@ -261,6 +261,30 @@ cmp -s /tmp/parad-plain.out /tmp/parad-seeds1.out || {
   exit 1
 }
 
+# ---- one gradient on both substrates: --engine seq is the interpreter ----
+# The lowered engine must print the interpreter's cycle counts and
+# adjoints on the MPI and hybrid paths (memory ops, adjoint exchange,
+# fork members).
+
+for args in "--flavor mpi --ranks 2 --size 2 --iters 2" \
+  "--flavor hybrid --ranks 2 --threads 2 --size 2 --iters 2"; do
+  expect_exit 0 grad $args
+  grep -E "gradient [0-9]+ cycles|d total / d e" /tmp/parad-check.out \
+    > /tmp/parad-interp.out
+  expect_exit 0 grad $args --engine seq
+  grep -E "gradient [0-9]+ cycles|d total / d e" /tmp/parad-check.out \
+    > /tmp/parad-seq.out
+  [ "$(wc -l < /tmp/parad-interp.out)" -eq 2 ] || {
+    echo "FAIL: grad $args printed no cycle or adjoint line"
+    exit 1
+  }
+  cmp -s /tmp/parad-interp.out /tmp/parad-seq.out || {
+    echo "FAIL: grad $args --engine seq differs from the interpreter"
+    diff /tmp/parad-interp.out /tmp/parad-seq.out
+    exit 1
+  }
+done
+
 # ---- gradient-service smoke (serve --stdin) ----
 # A mixed batch through the real request path: every line, valid or
 # hostile, must come back classified, and the warm repeat must carry

@@ -132,6 +132,114 @@ let test_wall_ns_populated () =
   let g = L.gradient_compiled ~nthreads:4 ~engine:E.Seq c tiny in
   Alcotest.(check bool) "wall_ns measured" true (g.L.g_stats.Stats.wall_ns > 0)
 
+(* ---- memory-error parity ----
+
+   The engine checks liveness and bounds inline and calls
+   [Memory.check_access] only for an access about to fail; each faulty
+   program below must raise the interpreter's [Runtime_error] text byte
+   for byte, on a float and on an int buffer. *)
+
+module B = Parad_ir.Builder
+module Ty = Parad_ir.Ty
+module Prog = Parad_ir.Prog
+
+(* [body b p] acts on [p], a fresh 4-cell buffer of [elem]. *)
+let faulty_prog elem body =
+  let prog = Prog.create () in
+  let b, _ = B.func prog "mem" ~params:[] ~ret:Ty.Unit in
+  let p = B.alloc b elem (B.i64 b 4) in
+  body b p;
+  B.return b None;
+  ignore (B.finish b);
+  prog
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let runtime_error run =
+  match run () with
+  | _ -> Alcotest.fail "faulty access was not detected"
+  | exception Value.Runtime_error msg -> msg
+
+let check_parity name expect prog =
+  let on call () = Exec.run ~call prog ~fname:"mem" ~setup:(fun _ -> []) in
+  let interp = runtime_error (on Interp.call)
+  and seq = runtime_error (on (E.call_fn (E.prepare prog) E.Seq)) in
+  Alcotest.(check string) (name ^ ": seq message = interp message") interp seq;
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %S names %S" name interp expect)
+    true
+    (contains interp expect)
+
+let test_memory_error_parity () =
+  List.iter
+    (fun (ename, elem, value) ->
+      let case name expect body =
+        check_parity (ename ^ " " ^ name) expect (faulty_prog elem body)
+      in
+      case "load past the end" "out of bounds" (fun b p ->
+          ignore (B.load b p (B.i64 b 4)));
+      case "store at a negative index" "out of bounds" (fun b p ->
+          B.store b p (B.i64 b (-1)) (value b));
+      case "load through a gep past the end" "out of bounds" (fun b p ->
+          ignore (B.load b (B.gep b p (B.i64 b 3)) (B.i64 b 1)));
+      case "store through a gep past the end" "out of bounds" (fun b p ->
+          B.store b (B.gep b p (B.i64 b 2)) (B.i64 b 2) (value b));
+      case "load after free" "use after free" (fun b p ->
+          B.free b p;
+          ignore (B.load b p (B.i64 b 0)));
+      case "store after free" "use after free" (fun b p ->
+          B.free b p;
+          B.store b p (B.i64 b 0) (value b));
+      (* liveness is reported before bounds *)
+      case "load past the end after free" "use after free" (fun b p ->
+          B.free b p;
+          ignore (B.load b p (B.i64 b 9)));
+      if elem = Ty.Float then begin
+        case "atomic add after free" "use after free" (fun b p ->
+            B.free b p;
+            B.atomic_add b p (B.i64 b 0) (value b));
+        case "atomic add through a gep past the end" "out of bounds"
+          (fun b p ->
+            B.atomic_add b (B.gep b p (B.i64 b 1)) (B.i64 b 3) (value b))
+      end)
+    [
+      "float", Ty.Float, (fun b -> B.f64 b 1.5);
+      "int", Ty.Int, (fun b -> B.i64 b 7);
+    ]
+
+(* ---- allocation guard ----
+
+   Minor words of one warm seq-engine gradient (plan compiled and lowered
+   by a first run), on the tiny mesh. The count is deterministic; each
+   bound is the count measured when the guard was set plus 10%. Before
+   the engine's memory ops went allocation-free these runs allocated
+   689769 (mpi) and 204092 (omp) words. *)
+let warm_minor_words flavor ~nthreads ~nranks =
+  let c = L.compile flavor in
+  let run () =
+    ignore (L.gradient_compiled ~nthreads ~nranks ~engine:E.Seq c tiny)
+  in
+  run ();
+  let w0 = Gc.minor_words () in
+  run ();
+  Gc.minor_words () -. w0
+
+let test_warm_allocation () =
+  List.iter
+    (fun (name, flavor, nthreads, nranks, bound) ->
+      let words = warm_minor_words flavor ~nthreads ~nranks in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s warm gradient: %.0f minor words <= %.0f" name
+           words bound)
+        true (words <= bound))
+    [
+      "lulesh mpi 2 ranks", L.Mpi, 1, 2, 78217. *. 1.1;
+      "lulesh omp 4 threads", L.Omp, 4, 1, 73534. *. 1.1;
+    ]
+
 let () =
   Alcotest.run "engine"
     [
@@ -154,5 +262,12 @@ let () =
           Alcotest.test_case "sdc detection" `Quick
             test_sdc_detected_on_engine;
           Alcotest.test_case "wall_ns" `Quick test_wall_ns_populated;
+          Alcotest.test_case "memory error parity" `Quick
+            test_memory_error_parity;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "warm gradient minor words" `Quick
+            test_warm_allocation;
         ] );
     ]
